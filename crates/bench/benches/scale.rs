@@ -5,7 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedfl_core::bound::BoundParams;
 use fedfl_core::population::{Population, PopulationSpec};
-use fedfl_core::server::{path_budget, solve_kkt, SolverOptions};
+use fedfl_core::server::{path_budget, solve_kkt, KktRequest, SolverOptions};
+use fedfl_core::shard::ShardedPopulation;
 use std::hint::black_box;
 
 fn bound() -> BoundParams {
@@ -15,7 +16,12 @@ fn bound() -> BoundParams {
 /// A mid-path budget, so every size solves an interior (bisecting)
 /// instance rather than a trivial one.
 fn mid_budget(population: &Population, bound: &BoundParams) -> f64 {
-    path_budget(population, bound, &SolverOptions::default(), 0.5)
+    path_budget(
+        &ShardedPopulation::from(population),
+        bound,
+        &SolverOptions::default(),
+        0.5,
+    )
 }
 
 fn bench_synthesize(c: &mut Criterion) {
@@ -45,7 +51,9 @@ fn bench_solve_kkt(c: &mut Criterion) {
                 &population,
                 |bench, population| {
                     bench.iter(|| {
-                        solve_kkt(black_box(population), &b, budget, &options).expect("solve")
+                        let population = ShardedPopulation::from(black_box(population));
+                        solve_kkt(&KktRequest::new(&population, &b, budget, &options))
+                            .expect("solve")
                     })
                 },
             );

@@ -6,7 +6,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use fedfl_bench::experiment::prepare;
 use fedfl_bench::setups::Setup;
 use fedfl_core::response::best_response;
-use fedfl_core::server::{solve_kkt, solve_m_search, SolverOptions};
+use fedfl_core::server::{solve_kkt, solve_m_search, KktRequest, SolverOptions};
+use fedfl_core::shard::ShardedPopulation;
 use std::hint::black_box;
 
 fn bench_stage_one_solvers(c: &mut Criterion) {
@@ -16,12 +17,13 @@ fn bench_stage_one_solvers(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_solver");
     group.bench_function("kkt_bisection", |b| {
         b.iter(|| {
-            solve_kkt(
-                black_box(&prepared.population),
+            let population = ShardedPopulation::from(black_box(&prepared.population));
+            solve_kkt(&KktRequest::new(
+                &population,
                 &prepared.bound,
                 setup.budget,
                 &options,
-            )
+            ))
             .expect("kkt")
         })
     });
@@ -29,7 +31,7 @@ fn bench_stage_one_solvers(c: &mut Criterion) {
     group.bench_function("m_search_paper", |b| {
         b.iter(|| {
             solve_m_search(
-                black_box(&prepared.population),
+                &ShardedPopulation::from(black_box(&prepared.population)),
                 &prepared.bound,
                 setup.budget,
                 &options,

@@ -7,7 +7,8 @@
 use fedfl_bench::cli::CliOptions;
 use fedfl_bench::experiment::prepare;
 use fedfl_bench::report::{save_report, TextTable};
-use fedfl_core::server::{solve_kkt, solve_m_search, SolverOptions};
+use fedfl_core::server::{solve_kkt, solve_m_search, KktRequest, SolverOptions};
+use fedfl_core::shard::ShardedPopulation;
 use std::time::Instant;
 
 fn main() {
@@ -30,18 +31,18 @@ fn main() {
         };
 
         let t0 = Instant::now();
-        let kkt = solve_kkt(
-            &prepared.population,
+        let (kkt, _) = solve_kkt(&KktRequest::new(
+            &ShardedPopulation::from(&prepared.population),
             &prepared.bound,
             setup.budget,
             &solver_options,
-        )
+        ))
         .expect("kkt failed");
         let kkt_time = t0.elapsed();
 
         let t1 = Instant::now();
         let msearch = solve_m_search(
-            &prepared.population,
+            &ShardedPopulation::from(&prepared.population),
             &prepared.bound,
             setup.budget,
             &solver_options,

@@ -26,7 +26,8 @@
 
 use fedfl_core::bound::BoundParams;
 use fedfl_core::population::{ClientProfile, Population, PopulationSpec};
-use fedfl_core::server::{path_budget, solve_kkt_columns_hinted, SolverOptions};
+use fedfl_core::server::{path_budget, solve_kkt, KktRequest, SolverOptions};
+use fedfl_core::shard::ShardedPopulation;
 use fedfl_num::rng::substream;
 use fedfl_service::{AvailabilityPattern, ClientId, ClientParams, PricingService, ServiceConfig};
 use rand::Rng;
@@ -198,10 +199,14 @@ fn reference(
         .filter(|(_, &inc)| inc)
         .map(|(&r, _)| r)
         .collect();
-    let eff = cols.effective(&included_rates).expect("effective view");
-    let (solution, diag) =
-        solve_kkt_columns_hinted(&eff, &bound(), config.budget, &config.solver, None)
-            .expect("cold reference solve");
+    let eff = ShardedPopulation::from(cols.effective(&included_rates).expect("effective view"));
+    let (solution, diag) = solve_kkt(&KktRequest::new(
+        &eff,
+        &bound(),
+        config.budget,
+        &config.solver,
+    ))
+    .expect("cold reference solve");
     let n = mirror.len();
     let mut prices = vec![0.0f64; n];
     let mut q_eff = vec![0.0f64; n];
@@ -252,7 +257,7 @@ fn main() {
         Population::from_raw(initial.iter().map(ClientParams::raw_profile).collect())
             .expect("initial population");
     config.budget = path_budget(
-        &initial_population,
+        &ShardedPopulation::from(&initial_population),
         &bound(),
         &config.solver,
         args.budget_frac,

@@ -13,9 +13,8 @@
 //!
 //! `--metrics-out` appends a `"bench":"metrics"` JSONL export of the
 //! run's solver counters and spans (probe evaluations, bisection
-//! iterations, solve/index-build histograms). Collection forces the
-//! diagnostics-returning solver entry points — bit-identical to the
-//! plain ones.
+//! iterations, solve/index-build histograms); the solves record into it
+//! and are bit-identical to unobserved ones.
 //!
 //! With `--fast-path`, the run additionally builds the threshold index
 //! (timed), runs the certified fast solve cold and warm (index + hint
@@ -28,7 +27,7 @@
 //! `results/scale_equilibrium.txt`. With `--shards S > 1`, each shard's
 //! clients are materialised independently (`ShardedPopulation::synthesize`,
 //! always asserted to concatenate to the flat population) and the solve
-//! runs over the shard column-sets (`solve_kkt_sharded`); the sequential
+//! runs over the shard column-sets; the sequential
 //! flat re-solve then asserts the sharded solution bit-identical to the
 //! unsharded path — unless `--skip-sequential` suppresses that (solve-
 //! level) check. With `--json`, a machine-readable record of the same run
@@ -37,17 +36,13 @@
 
 use fedfl_bench::metrics_record::MetricsRecord;
 use fedfl_bench::schema::check_line;
-use fedfl_core::active_set::{ActiveSetIndex, IndexColumns};
+use fedfl_core::active_set::{chunk_keys, ActiveSetIndex, IndexColumns};
 use fedfl_core::bound::BoundParams;
 use fedfl_core::equilibrium::StackelbergEquilibrium;
 use fedfl_core::population::{Population, PopulationSpec};
-use fedfl_core::server::{
-    path_budget, path_budget_sharded, solve_kkt, solve_kkt_columns_hinted, solve_kkt_sharded,
-    solve_kkt_sharded_fast_with_index, solve_kkt_sharded_fast_with_index_observed,
-    solve_kkt_sharded_hinted, SolverOptions,
-};
+use fedfl_core::server::{path_budget, solve_kkt, KktRequest, SolverOptions};
 use fedfl_core::shard::ShardedPopulation;
-use fedfl_obs::{Metric, Recorder as _, Registry};
+use fedfl_obs::{Metric, NoopRecorder, Recorder, Registry};
 use serde::{Serialize, Value};
 use std::io::Write as _;
 use std::time::Instant;
@@ -96,7 +91,7 @@ struct FastStats {
     probe_evaluations: u64,
     probe_evaluations_exact: u64,
     fast_rel_spend_error: f64,
-    /// Segments of the grid index the fast solve probed.
+    /// Segments of the chunk-keyed index the fast solve probed.
     index_segments: usize,
     /// Cold keyed (service-layout) index build time — the incremental
     /// patch's baseline.
@@ -226,7 +221,8 @@ fn main() {
     println!("  {:.3}s", synth_time.as_secs_f64());
 
     let options = SolverOptions::with_threads(args.threads);
-    let budget = path_budget(&population, &bound, &options, args.budget_frac);
+    let flat = ShardedPopulation::from(&population);
+    let budget = path_budget(&flat, &bound, &options, args.budget_frac);
     // With --shards > 1, materialise each shard independently (the unit a
     // distributed deployment hands to a worker) and solve over the shard
     // column-sets; both must be bit-identical to the flat path.
@@ -239,7 +235,7 @@ fn main() {
         let sharded = ShardedPopulation::synthesize(args.clients, &spec, args.seed, args.shards)
             .expect("sharded synthesize");
         println!("  {:.3}s", t0.elapsed().as_secs_f64());
-        let sharded_budget = path_budget_sharded(&sharded, &bound, &options, args.budget_frac);
+        let sharded_budget = path_budget(&sharded, &bound, &options, args.budget_frac);
         assert_eq!(
             sharded_budget.to_bits(),
             budget.to_bits(),
@@ -254,38 +250,18 @@ fn main() {
         args.threads, args.shards
     );
     let registry = args.metrics_out.as_ref().map(|_| Registry::new());
-    let t0 = Instant::now();
-    // With --fast-path (or a --metrics-out registry to feed) the exact
-    // solve goes through the diagnostics-returning entry points
-    // (bit-identical to the plain ones) so probe work is measurable.
-    let want_diag = args.fast_path || registry.is_some();
-    let (solution, exact_diag) = match &sharded {
-        Some(sharded) if want_diag => {
-            let (solution, diag) =
-                solve_kkt_sharded_hinted(sharded, &bound, budget, &options, None).expect("solve");
-            (solution, Some(diag))
-        }
-        Some(sharded) => (
-            solve_kkt_sharded(sharded, &bound, budget, &options).expect("solve"),
-            None,
-        ),
-        None if want_diag => {
-            let (solution, diag) =
-                solve_kkt_columns_hinted(&population.columns(), &bound, budget, &options, None)
-                    .expect("solve");
-            (solution, Some(diag))
-        }
-        None => (
-            solve_kkt(&population, &bound, budget, &options).expect("solve"),
-            None,
-        ),
+    let recorder: &dyn Recorder = match &registry {
+        Some(registry) => registry,
+        None => &NoopRecorder,
     };
+    let exact_request = KktRequest {
+        recorder,
+        ..KktRequest::new(sharded.as_ref().unwrap_or(&flat), &bound, budget, &options)
+    };
+    let t0 = Instant::now();
+    let (solution, exact_diag) = solve_kkt(&exact_request).expect("solve");
     let solve_time = t0.elapsed();
     println!("  {:.3}s", solve_time.as_secs_f64());
-    if let (Some(registry), Some(diag)) = (&registry, &exact_diag) {
-        let nanos = u64::try_from(solve_time.as_nanos()).unwrap_or(u64::MAX);
-        diag.record_solve(registry, nanos);
-    }
 
     // Determinism contracts: n_threads = 1 (and, with --shards, the flat
     // unsharded solve) must reproduce the same bits.
@@ -294,8 +270,10 @@ fn main() {
     } else {
         println!("re-solving sequentially (flat, 1 thread) to check bit-identity ...");
         let t0 = Instant::now();
-        let sequential = solve_kkt(&population, &bound, budget, &SolverOptions::with_threads(1))
-            .expect("sequential solve");
+        let sequential_options = SolverOptions::with_threads(1);
+        let (sequential, _) =
+            solve_kkt(&KktRequest::new(&flat, &bound, budget, &sequential_options))
+                .expect("sequential solve");
         println!("  {:.3}s", t0.elapsed().as_secs_f64());
         Some(sequential == solution)
     };
@@ -311,21 +289,18 @@ fn main() {
     // --fast-path: build the threshold index (timed) and run the
     // certified fast solve cold and warm against the exact baseline.
     let fast = if args.fast_path {
-        let flat_sharded;
-        let fast_population = match &sharded {
-            Some(sharded) => sharded,
-            None => {
-                flat_sharded = ShardedPopulation::from_columns(&population.columns(), 1)
-                    .expect("single-shard wrap");
-                &flat_sharded
-            }
-        };
+        let cols = population.columns();
+        let index_cols = IndexColumns::from_population(&cols);
         println!("building the threshold index ...");
         let t0 = Instant::now();
-        let index = ActiveSetIndex::build_sharded_threaded(
-            fast_population.shards(),
+        let (keys, segments) = chunk_keys(cols.len());
+        let index = ActiveSetIndex::build_keyed(
+            &index_cols,
+            &keys,
+            segments,
             bound.alpha_over_r(),
             options.q_min,
+            1.0,
             options.config.n_threads,
         );
         let index_build_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -336,40 +311,27 @@ fn main() {
             registry.observe(Metric::SolverIndexBuildNs, index_build_ns);
         }
         println!("fast solve (cold, then warm with index + hint reuse) ...");
-        // With a registry, the observed entry point records the solve
-        // span, mode counters, and certification-band outcomes itself;
-        // both variants produce bit-identical solutions.
-        let fast_solve = |hint: Option<f64>| match &registry {
-            Some(registry) => solve_kkt_sharded_fast_with_index_observed(
-                fast_population,
-                &bound,
-                budget,
-                &options,
-                &index,
-                hint,
-                registry,
-            ),
-            None => solve_kkt_sharded_fast_with_index(
-                fast_population,
-                &bound,
-                budget,
-                &options,
-                &index,
-                hint,
-            ),
+        // The solves record their span, mode counters and
+        // certification-band outcomes into the registry, if any.
+        let fast_request = KktRequest {
+            index: Some(&index),
+            ..exact_request
         };
         let t0 = Instant::now();
-        let (fast_cold, cold_diag) = fast_solve(None).expect("fast solve");
+        let (fast_cold, cold_diag) = solve_kkt(&fast_request).expect("fast solve");
         let fast_solve_seconds = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
-        let (_, warm_diag) = fast_solve(Some(cold_diag.t_star)).expect("fast warm solve");
+        let (_, warm_diag) = solve_kkt(&KktRequest {
+            hint: Some(cold_diag.t_star),
+            ..fast_request
+        })
+        .expect("fast warm solve");
         let fast_warm_solve_seconds = t0.elapsed().as_secs_f64();
         println!(
             "  cold {fast_solve_seconds:.3}s / warm {fast_warm_solve_seconds:.3}s [{}]",
             cold_diag.solver_mode
         );
         debug_assert_eq!(warm_diag.solver_mode, cold_diag.solver_mode);
-        let exact_diag = exact_diag.expect("exact diagnostics captured under --fast-path");
         let fast_rel_spend_error =
             (fast_cold.spent - solution.spent).abs() / solution.spent.abs().max(1.0);
 
@@ -382,8 +344,6 @@ fn main() {
             "keyed-index patch micro-bench ({PATCH_SEGMENTS} segments, \
              {PATCH_DIRTY_SEGMENTS} dirty) ..."
         );
-        let cols = population.columns();
-        let index_cols = IndexColumns::from_population(&cols);
         let seg_keys: Vec<u32> = (0..cols.len())
             .map(|i| ((i / PATCH_ROUTE_BLOCK) % PATCH_SEGMENTS) as u32)
             .collect();

@@ -10,7 +10,7 @@
 //! 3. instantiate the Theorem 1 bound. The raw theoretical
 //!    `α = 8LE/µ²` is astronomically conservative (as usual for
 //!    convergence bounds), so — like the paper, which "estimates the
-//!    task-related parameter α following [22]" — the *game* uses a
+//!    task-related parameter α following \[22\]" — the *game* uses a
 //!    calibrated α chosen so that the mean intrinsic gain
 //!    `K̄ = v̄·(α/R)·mean(a_n²G_n²)` is `kappa` times the mean cost c̄.
 //!    This keeps the intrinsic-value channel material without letting it

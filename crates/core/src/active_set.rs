@@ -43,25 +43,23 @@
 //! every probe: per segment a boundary check (the "directory scan":
 //! first/last threshold short-circuit all-floored / all-saturated
 //! segments), an in-segment binary search otherwise, and one closed-form
-//! interior evaluation over the accumulated moments at the end. Two
-//! segmentation disciplines share the structure:
+//! interior evaluation over the accumulated moments at the end.
 //!
-//! * **Grid** ([`ActiveSetIndex::from_columns`] /
-//!   [`ActiveSetIndex::build_sharded`]): fixed [`GRID_SEGMENT`]-length
-//!   positional segments over the concatenated columns. Because solver
-//!   shards are chunk-aligned contiguous partitions (chunk =
-//!   `GRID_SEGMENT`), the segment list is a pure function of the
-//!   concatenated columns — the sharded build is **bit-identical** to
-//!   the flat build for any shard × thread count, the contract
-//!   `fedfl_num::parallel` gives the chunked reductions.
-//! * **Keyed** ([`ActiveSetIndex::build_keyed`] /
-//!   [`ActiveSetIndex::patch`]): clients are bucketed by a caller-chosen
-//!   stable key (the service keys on id blocks, aligned with its store
-//!   shards), preserving global insertion order within each bucket. A
-//!   churn batch that only touches some buckets re-sorts **only those
-//!   segments**: [`ActiveSetIndex::patch`] rebuilds dirty segments in
-//!   O(dirty·(N/S)·log(N/S)) sort work and revalidates clean ones in
-//!   O(N/S) each, producing an index **bit-identical** to a cold
+//! Segments are keyed: [`ActiveSetIndex::build_keyed`] buckets clients by
+//! a caller-chosen stable key, preserving global insertion order within
+//! each bucket, and the partition depends on the keys alone — never on
+//! how the caller shards or threads. Two key choices are in use:
+//!
+//! * **Chunk keys** ([`chunk_keys`]): row `i` keys on `i / DEFAULT_CHUNK`,
+//!   the chunk grid of `fedfl_num::parallel`. Solver shards are
+//!   chunk-aligned contiguous partitions, so the segment list is a pure
+//!   function of the concatenated columns — the standalone index a
+//!   one-off fast solve or a bench builds.
+//! * **Id-block keys** (the pricing service, aligned with its store
+//!   shards): a churn batch that only touches some buckets re-sorts
+//!   **only those segments** — [`ActiveSetIndex::patch`] rebuilds dirty
+//!   segments in O(dirty·(N/S)·log(N/S)) sort work and revalidates clean
+//!   ones in O(N/S) each, producing an index **bit-identical** to a cold
 //!   [`ActiveSetIndex::build_keyed`] over the same rows.
 //!
 //! # Scale factorisation (why patching survives weight renormalisation)
@@ -92,10 +90,10 @@
 //! reuse never costs bit-identity.
 //!
 //! The evaluation is a **model**, not the exact chunked reduction: its
-//! summation order differs from the flat solver's fixed chunk tree and
+//! summation order differs from the exact solver's fixed chunk tree and
 //! its interior term truncates the value series, so it can never be
-//! bit-pinned to the goldens. [`crate::server::solve_kkt_columns_fast`]
-//! therefore treats the index as a probe accelerator only: the root it
+//! bit-pinned to the goldens. [`crate::server::solve_kkt`] therefore
+//! treats an index it is handed as a probe accelerator only: the root it
 //! finds is certified against *exact* spend probes and the Theorem-2
 //! residual, and violations fall back to the exact solver.
 
@@ -103,7 +101,6 @@ use crate::population::PopulationColumns;
 use fedfl_num::parallel::{resolve_threads, DEFAULT_CHUNK};
 use fedfl_num::prefix::{exclusive_prefix_sums, gather, sort_permutation};
 use std::cmp::Ordering;
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
@@ -111,10 +108,15 @@ use std::sync::Arc;
 /// `Dv³`.
 const MOMENTS: usize = 8;
 
-/// Positional segment length of grid-mode indexes. Equal to the chunked
-/// reductions' [`DEFAULT_CHUNK`], so chunk-aligned solver shards split
-/// into the same global segment grid for any shard count.
-pub const GRID_SEGMENT: usize = DEFAULT_CHUNK;
+/// Chunk keys for [`ActiveSetIndex::build_keyed`]: row `i` keys on
+/// `i / DEFAULT_CHUNK`, returned with the segment count that covers them
+/// (at least 1). Built over normalised columns at `scale = 1`, the index
+/// splits on the chunked reductions' grid, so it is the same for any
+/// shard or thread count of the population it models.
+pub fn chunk_keys(len: usize) -> (Vec<u32>, usize) {
+    let keys = (0..len).map(|i| (i / DEFAULT_CHUNK) as u32).collect();
+    (keys, len.div_ceil(DEFAULT_CHUNK).max(1))
+}
 
 /// Borrowed scale-free index inputs: the `w²G²` column (raw
 /// `w_raw²·G²` when probing at `scale = W²`, the normalised `a²G²`
@@ -354,17 +356,7 @@ impl IndexSegment {
         }
     }
 
-    /// Build from a contiguous row range (grid mode).
-    fn build_range(cols: &IndexColumns<'_>, range: Range<usize>, aor: f64, q_min: f64) -> Self {
-        let mut unit = UnitColumns::with_capacity(range.len());
-        for i in range {
-            unit.push_row(cols, i, aor, q_min);
-        }
-        Self::from_unit(unit, 1.0)
-    }
-
-    /// Build from an explicit member list in ascending row order (keyed
-    /// mode).
+    /// Build from an explicit member list in ascending row order.
     fn build_members(
         cols: &IndexColumns<'_>,
         members: &[u32],
@@ -460,21 +452,12 @@ pub struct ActiveSetIndex {
     scale: f64,
     inv_scale: f64,
     inv_scale23: f64,
-    /// `Some(segment_count)` for keyed indexes (the patchable kind),
-    /// `None` for positional-grid indexes.
-    keyed: Option<usize>,
     segments: Vec<Arc<IndexSegment>>,
     finite: bool,
 }
 
 impl ActiveSetIndex {
-    fn assemble(
-        segments: Vec<Arc<IndexSegment>>,
-        aor: f64,
-        q_min: f64,
-        scale: f64,
-        keyed: Option<usize>,
-    ) -> Self {
+    fn assemble(segments: Vec<Arc<IndexSegment>>, aor: f64, q_min: f64, scale: f64) -> Self {
         let len = segments.iter().map(|s| s.len).sum();
         let scale_ok = scale.is_finite() && scale > 0.0;
         let finite = scale_ok && segments.iter().all(|s| s.finite);
@@ -486,56 +469,9 @@ impl ActiveSetIndex {
             scale,
             inv_scale: 1.0 / scale,
             inv_scale23: 1.0 / (cbrt * cbrt),
-            keyed,
             segments,
             finite,
         }
-    }
-
-    /// Build a flat grid index over one column set (`scale = 1`).
-    pub fn from_columns(cols: &PopulationColumns, aor: f64, q_min: f64) -> Self {
-        Self::build_sharded_threaded(std::slice::from_ref(cols), aor, q_min, 1)
-    }
-
-    /// Build a grid index from shard column-sets.
-    ///
-    /// Shards must be chunk-aligned contiguous partitions of the global
-    /// column order (as `ShardedPopulation` produces); every shard then
-    /// splits on the same global [`GRID_SEGMENT`] grid, so the result is
-    /// **bit-identical** to [`Self::from_columns`] over the concatenated
-    /// columns for any shard count.
-    pub fn build_sharded(shards: &[PopulationColumns], aor: f64, q_min: f64) -> Self {
-        Self::build_sharded_threaded(shards, aor, q_min, 0)
-    }
-
-    /// [`Self::build_sharded`] with an explicit thread knob (`0` = one
-    /// worker per core). Segment builds parallelise; the segment order
-    /// is fixed, so the result is thread-count independent.
-    pub fn build_sharded_threaded(
-        shards: &[PopulationColumns],
-        aor: f64,
-        q_min: f64,
-        n_threads: usize,
-    ) -> Self {
-        let mut tasks: Vec<(usize, Range<usize>)> = Vec::new();
-        for (s, cols) in shards.iter().enumerate() {
-            let mut start = 0;
-            while start < cols.len() {
-                let end = (start + GRID_SEGMENT).min(cols.len());
-                tasks.push((s, start..end));
-                start = end;
-            }
-        }
-        let segments = run_tasks(tasks.len(), n_threads, |i| {
-            let (s, range) = &tasks[i];
-            Arc::new(IndexSegment::build_range(
-                &IndexColumns::from_population(&shards[*s]),
-                range.clone(),
-                aor,
-                q_min,
-            ))
-        });
-        Self::assemble(segments, aor, q_min, 1.0, None)
     }
 
     /// Build a keyed index: row `i` lands in segment
@@ -546,7 +482,9 @@ impl ActiveSetIndex {
     ///
     /// `scale` is the σ thresholds are evaluated at (pass the squared
     /// raw-weight total with a raw `w²G²` column, or `1.0` with
-    /// normalised columns).
+    /// normalised columns). Segment builds run on `n_threads` workers
+    /// (`0` = one per core); the segment order is fixed, so the result is
+    /// thread-count independent.
     ///
     /// # Panics
     ///
@@ -573,7 +511,7 @@ impl ActiveSetIndex {
                 scale,
             ))
         });
-        Self::assemble(segments, aor, q_min, scale, Some(segment_count))
+        Self::assemble(segments, aor, q_min, scale)
     }
 
     /// Incrementally rebuild a keyed index after churn: segments flagged
@@ -589,13 +527,12 @@ impl ActiveSetIndex {
     /// dirty is always safe, missing one is not.
     ///
     /// Sort work is O(Σ_dirty len·log len) instead of the cold build's
-    /// O(N log N); clean segments cost one O(len) validation scan. Falls
-    /// back to a cold keyed build (all segments "rebuilt") if this index
-    /// is not keyed or `dirty.len()` disagrees with its segment count.
+    /// O(N log N); clean segments cost one O(len) validation scan.
     ///
     /// # Panics
     ///
-    /// Panics if `seg_keys.len()` differs from the column length.
+    /// Panics if `seg_keys.len()` differs from the column length or
+    /// `dirty.len()` from the segment count.
     pub fn patch(
         &self,
         cols: &IndexColumns<'_>,
@@ -605,24 +542,11 @@ impl ActiveSetIndex {
         n_threads: usize,
     ) -> (Self, PatchStats) {
         assert_eq!(seg_keys.len(), cols.len(), "one segment key per row");
-        let compatible = self.keyed == Some(dirty.len()) && !dirty.is_empty();
-        if !compatible {
-            let segment_count = dirty.len().max(1);
-            let rebuilt = Self::build_keyed(
-                cols,
-                seg_keys,
-                segment_count,
-                self.aor,
-                self.q_min,
-                scale,
-                n_threads,
-            );
-            let stats = PatchStats {
-                rebuilt: segment_count,
-                ..PatchStats::default()
-            };
-            return (rebuilt, stats);
-        }
+        assert_eq!(
+            dirty.len(),
+            self.segment_count(),
+            "one dirty flag per segment"
+        );
         let segment_count = dirty.len();
         let members = bucket_members(seg_keys, segment_count);
         // 0 = reused, 1 = repaired, 2 = rebuilt — per-segment outcome.
@@ -647,10 +571,7 @@ impl ActiveSetIndex {
             }
             segments.push(segment);
         }
-        (
-            Self::assemble(segments, self.aor, self.q_min, scale, Some(segment_count)),
-            stats,
-        )
+        (Self::assemble(segments, self.aor, self.q_min, scale), stats)
     }
 
     /// Number of indexed clients.
@@ -870,6 +791,20 @@ mod tests {
     use crate::population::{ParamDist, Population, PopulationSpec, Q_MIN};
     use crate::shard::ShardedPopulation;
 
+    /// The chunk-keyed index of normalised columns.
+    fn chunk_index(cols: &PopulationColumns, n_threads: usize) -> ActiveSetIndex {
+        let (keys, segments) = chunk_keys(cols.len());
+        ActiveSetIndex::build_keyed(
+            &IndexColumns::from_population(cols),
+            &keys,
+            segments,
+            aor(),
+            Q_MIN,
+            1.0,
+            n_threads,
+        )
+    }
+
     fn aor() -> f64 {
         BoundParams::new(4_000.0, 100.0, 1_000)
             .unwrap()
@@ -900,7 +835,7 @@ mod tests {
         };
         let p = Population::synthesize(700, &spec, 3).unwrap();
         let cols = p.columns();
-        let index = ActiveSetIndex::from_columns(&cols, aor(), Q_MIN);
+        let index = chunk_index(&cols, 1);
         assert!(!index.is_degenerate());
         let hi = index.bracket_hi();
         for frac in [0.0, 1e-6, 0.01, 0.3, 0.7, 0.999, 1.0, 1.5] {
@@ -930,7 +865,7 @@ mod tests {
         // the relative error is far below the certification band.
         let p = Population::synthesize(500, &PopulationSpec::table1_like(), 11).unwrap();
         let cols = p.columns();
-        let index = ActiveSetIndex::from_columns(&cols, aor(), Q_MIN);
+        let index = chunk_index(&cols, 1);
         let hi = index.bracket_hi();
         for frac in [0.05, 0.2, 0.5, 0.9] {
             let t = frac * hi;
@@ -944,21 +879,38 @@ mod tests {
     }
 
     #[test]
-    fn sharded_build_is_bit_identical_to_flat() {
-        let n = fedfl_num::parallel::DEFAULT_CHUNK + 997;
-        let p = Population::synthesize(n, &PopulationSpec::table1_like(), 7).unwrap();
-        let cols = p.columns();
-        let flat = ActiveSetIndex::from_columns(&cols, aor(), Q_MIN);
-        assert_eq!(flat.segment_count(), 2, "grid splits at GRID_SEGMENT");
-        for shard_count in [1usize, 2, 7, 32] {
-            let sharded = ShardedPopulation::from_columns(&cols, shard_count).unwrap();
-            for threads in [1usize, 3] {
-                let index =
-                    ActiveSetIndex::build_sharded_threaded(sharded.shards(), aor(), Q_MIN, threads);
-                assert_eq!(
-                    index, flat,
-                    "index diverged at shard_count {shard_count} threads {threads}"
-                );
+    fn chunk_keyed_builds_are_shard_and_thread_invariant() {
+        // The index of an N-shard population, built over its shards'
+        // concatenation with chunk keys, equals the one-shard build
+        // segment for segment — one segment per chunk of the global
+        // order — and probes it bit for bit.
+        let spec = PopulationSpec::table1_like();
+        let chunk = DEFAULT_CHUNK;
+        for n in [1, chunk - 1, chunk, chunk + 1, 3 * chunk + 17] {
+            let flat = chunk_index(&Population::synthesize(n, &spec, 7).unwrap().columns(), 1);
+            let lens: Vec<usize> = flat.segments.iter().map(|s| s.len()).collect();
+            let grid: Vec<usize> = (0..n.div_ceil(chunk))
+                .map(|k| chunk.min(n - k * chunk))
+                .collect();
+            assert_eq!(lens, grid, "n {n}: segments off the chunk grid");
+            let hi = flat.bracket_hi();
+            for shard_count in [1, 2, 7] {
+                let sharded = ShardedPopulation::synthesize(n, &spec, 7, shard_count).unwrap();
+                for threads in [1, 3] {
+                    let index = chunk_index(&sharded.concat(), threads);
+                    assert_eq!(
+                        index.segments, flat.segments,
+                        "n {n} shards {shard_count} threads {threads}"
+                    );
+                    for k in 0..=16 {
+                        let t = hi * f64::from(k) / 16.0;
+                        assert_eq!(
+                            index.spend(t).to_bits(),
+                            flat.spend(t).to_bits(),
+                            "n {n} shards {shard_count} threads {threads} t {t}"
+                        );
+                    }
+                }
             }
         }
     }
@@ -966,7 +918,7 @@ mod tests {
     #[test]
     fn spend_is_monotone_on_a_probe_grid() {
         let p = Population::synthesize(300, &PopulationSpec::table1_like(), 5).unwrap();
-        let index = ActiveSetIndex::from_columns(&p.columns(), aor(), Q_MIN);
+        let index = chunk_index(&p.columns(), 1);
         let hi = index.bracket_hi();
         let mut last = f64::NEG_INFINITY;
         for k in 0..=200 {
@@ -988,7 +940,7 @@ mod tests {
             value: vec![0.0, 2.0],
             q_max: vec![1.0, 1.0],
         };
-        let index = ActiveSetIndex::from_columns(&cols, aor(), Q_MIN);
+        let index = chunk_index(&cols, 1);
         assert!(index.is_degenerate());
     }
 
@@ -1000,42 +952,10 @@ mod tests {
             value: vec![0.0; 1024],
             q_max: vec![1.0; 1024],
         };
-        let index = ActiveSetIndex::from_columns(&cols, aor(), Q_MIN);
+        let index = chunk_index(&cols, 1);
         assert_eq!(index.len(), 1024);
         assert!(index.probe_cost() <= 2 * 11 + 1);
         assert!(index.probe_cost() >= 2 * 10);
-    }
-
-    #[test]
-    fn single_bucket_keyed_index_probes_like_the_flat_grid() {
-        // One keyed bucket at scale 1 holds the same rows in the same
-        // order as a one-segment grid build, so every probe agrees
-        // bit for bit.
-        let p = Population::synthesize(900, &PopulationSpec::table1_like(), 13).unwrap();
-        let cols = p.columns();
-        let grid = ActiveSetIndex::from_columns(&cols, aor(), Q_MIN);
-        let keys = vec![0u32; cols.len()];
-        let keyed = ActiveSetIndex::build_keyed(
-            &IndexColumns::from_population(&cols),
-            &keys,
-            1,
-            aor(),
-            Q_MIN,
-            1.0,
-            1,
-        );
-        assert_eq!(keyed.segment_count(), 1);
-        assert_eq!(keyed.len(), grid.len());
-        assert_eq!(
-            keyed.bracket_hi().to_bits(),
-            grid.bracket_hi().to_bits(),
-            "bracket"
-        );
-        let hi = grid.bracket_hi();
-        for k in 0..=50 {
-            let t = hi * k as f64 / 50.0;
-            assert_eq!(keyed.spend(t).to_bits(), grid.spend(t).to_bits(), "t {t}");
-        }
     }
 
     #[test]
@@ -1113,20 +1033,13 @@ mod tests {
     }
 
     #[test]
-    fn patch_on_a_grid_index_falls_back_to_a_cold_keyed_build() {
+    #[should_panic(expected = "one dirty flag per segment")]
+    fn patch_rejects_a_dirty_mask_of_another_length() {
         let p = Population::synthesize(100, &PopulationSpec::table1_like(), 29).unwrap();
         let cols = p.columns();
-        let grid = ActiveSetIndex::from_columns(&cols, aor(), Q_MIN);
-        let keys = vec![0u32; cols.len()];
-        let (patched, stats) = grid.patch(
-            &IndexColumns::from_population(&cols),
-            &keys,
-            &[false, false],
-            1.0,
-            1,
-        );
-        assert_eq!(stats.rebuilt, 2, "incompatible patch rebuilds everything");
-        assert_eq!(patched.segment_count(), 2);
-        assert_eq!(patched.len(), cols.len());
+        let unit = IndexColumns::from_population(&cols);
+        let keys: Vec<u32> = (0..cols.len() as u32).map(|i| i % 2).collect();
+        let index = ActiveSetIndex::build_keyed(&unit, &keys, 2, aor(), Q_MIN, 1.0, 1);
+        let _ = index.patch(&unit, &keys, &[false; 3], 1.0, 1);
     }
 }

@@ -301,7 +301,8 @@ pub fn solve_bayesian(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::solve_kkt;
+    use crate::server::{solve_kkt, KktRequest};
+    use crate::shard::ShardedPopulation;
 
     fn population() -> Population {
         Population::builder()
@@ -339,7 +340,9 @@ mod tests {
             &BayesianConfig::default(),
         )
         .unwrap();
-        let complete = solve_kkt(&p, &b, budget, &SolverOptions::default()).unwrap();
+        let p_sharded = ShardedPopulation::from(&p);
+        let options = SolverOptions::default();
+        let (complete, _) = solve_kkt(&KktRequest::new(&p_sharded, &b, budget, &options)).unwrap();
         for (a, c) in bayes.q.iter().zip(&complete.q) {
             assert!((a - c).abs() < 1e-5, "{:?} vs {:?}", bayes.q, complete.q);
         }
@@ -385,7 +388,10 @@ mod tests {
             let weights = vec![0.4, 0.3, 0.2, 0.1];
             let g2 = vec![9.0, 16.0, 25.0, 36.0];
             let p = Population::sample(seed, &weights, &g2, 50.0, 5.0, 1.0).unwrap();
-            let complete = solve_kkt(&p, &b, budget, &SolverOptions::default()).unwrap();
+            let p_sharded = ShardedPopulation::from(&p);
+            let options = SolverOptions::default();
+            let (complete, _) =
+                solve_kkt(&KktRequest::new(&p_sharded, &b, budget, &options)).unwrap();
             let bayes = solve_bayesian(
                 &p,
                 &Prior::Exponential { mean: 50.0 },

@@ -260,7 +260,8 @@ impl StackelbergEquilibrium {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{solve_kkt, SolverOptions};
+    use crate::server::{solve_kkt, KktRequest, SolverOptions};
+    use crate::shard::ShardedPopulation;
 
     fn population() -> Population {
         Population::builder()
@@ -276,11 +277,18 @@ mod tests {
         BoundParams::new(4000.0, 100.0, 1000).unwrap()
     }
 
+    fn stage_one(p: &Population, b: &BoundParams, budget: f64) -> StageOneSolution {
+        let population = ShardedPopulation::from(p);
+        let options = SolverOptions::default();
+        solve_kkt(&KktRequest::new(&population, b, budget, &options))
+            .unwrap()
+            .0
+    }
+
     fn solve(budget: f64) -> StackelbergEquilibrium {
         let p = population();
         let b = bound();
-        let sol = solve_kkt(&p, &b, budget, &SolverOptions::default()).unwrap();
-        StackelbergEquilibrium::from_stage_one(sol, &p, &b, budget)
+        StackelbergEquilibrium::from_stage_one(stage_one(&p, &b, budget), &p, &b, budget)
     }
 
     #[test]
@@ -391,8 +399,7 @@ mod tests {
             .build()
             .unwrap();
         let b = BoundParams::new(1_000.0, 0.0, 1_000).unwrap();
-        let sol = solve_kkt(&p, &b, 15.0, &SolverOptions::default()).unwrap();
-        let se = StackelbergEquilibrium::from_stage_one(sol, &p, &b, 15.0);
+        let se = StackelbergEquilibrium::from_stage_one(stage_one(&p, &b, 15.0), &p, &b, 15.0);
         let vt = match se.payment_threshold() {
             Some(v) => v,
             None => return, // saturated: the ordering claim is vacuous here

@@ -11,7 +11,8 @@ use crate::equilibrium::StackelbergEquilibrium;
 use crate::error::GameError;
 use crate::population::Population;
 use crate::pricing::{PricingOutcome, PricingScheme};
-use crate::server::{solve_kkt, solve_m_search, SolverOptions};
+use crate::server::{solve_kkt, solve_m_search, KktRequest, SolverOptions};
+use crate::shard::ShardedPopulation;
 use serde::{Deserialize, Serialize};
 
 /// A fully-specified instance of the Client Participation Level game.
@@ -76,7 +77,13 @@ impl CplGame {
     ///
     /// Returns [`GameError`] if the Stage-I solver fails.
     pub fn solve(&self) -> Result<StackelbergEquilibrium, GameError> {
-        let stage_one = solve_kkt(&self.population, &self.bound, self.budget, &self.options)?;
+        let population = ShardedPopulation::from(&self.population);
+        let (stage_one, _) = solve_kkt(&KktRequest::new(
+            &population,
+            &self.bound,
+            self.budget,
+            &self.options,
+        ))?;
         Ok(StackelbergEquilibrium::from_stage_one(
             stage_one,
             &self.population,
@@ -92,7 +99,12 @@ impl CplGame {
     ///
     /// Returns [`GameError::SolverFailed`] if no feasible `M` exists.
     pub fn solve_via_m_search(&self) -> Result<StackelbergEquilibrium, GameError> {
-        let stage_one = solve_m_search(&self.population, &self.bound, self.budget, &self.options)?;
+        let stage_one = solve_m_search(
+            &ShardedPopulation::from(&self.population),
+            &self.bound,
+            self.budget,
+            &self.options,
+        )?;
         Ok(StackelbergEquilibrium::from_stage_one(
             stage_one,
             &self.population,

@@ -309,7 +309,7 @@ impl Population {
 /// `weight`/`g_squared` fields and recomputes `a²G²` per visit; these
 /// parallel columns keep each pass sequential in memory and the product
 /// precomputed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PopulationColumns {
     /// Precomputed `a_n² G_n²` per client.
     pub a2g2: Vec<f64>,
@@ -330,6 +330,24 @@ impl PopulationColumns {
     /// Whether the columns are empty.
     pub fn is_empty(&self) -> bool {
         self.a2g2.is_empty()
+    }
+
+    /// Check that every column holds one entry per client.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GameError::LengthMismatch`] for the first column whose
+    /// length differs from `a2g2`'s.
+    pub fn check_lengths(&self) -> Result<(), GameError> {
+        for len in [self.cost.len(), self.value.len(), self.q_max.len()] {
+            if len != self.a2g2.len() {
+                return Err(GameError::LengthMismatch {
+                    expected: self.a2g2.len(),
+                    found: len,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// The availability-effective view of these columns.

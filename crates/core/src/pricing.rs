@@ -17,7 +17,8 @@ use crate::bound::BoundParams;
 use crate::error::GameError;
 use crate::population::Population;
 use crate::response::best_response;
-use crate::server::{solve_kkt, SolverOptions, StageOneSolution};
+use crate::server::{solve_kkt, KktRequest, SolverOptions};
+use crate::shard::ShardedPopulation;
 use fedfl_num::solve::bisect_monotone_with;
 use serde::{Deserialize, Serialize};
 
@@ -67,19 +68,15 @@ impl PricingScheme {
     ) -> Result<PricingOutcome, GameError> {
         match self {
             PricingScheme::Optimal => {
-                let StageOneSolution {
-                    q,
-                    prices,
-                    spent,
-                    saturated,
-                    ..
-                } = solve_kkt(population, bound, budget, options)?;
+                let population = ShardedPopulation::from(population);
+                let (solution, _) =
+                    solve_kkt(&KktRequest::new(&population, bound, budget, options))?;
                 Ok(PricingOutcome {
                     scheme: *self,
-                    prices,
-                    q,
-                    spent,
-                    saturated,
+                    prices: solution.prices,
+                    q: solution.q,
+                    spent: solution.spent,
+                    saturated: solution.saturated,
                 })
             }
             PricingScheme::Uniform => {

@@ -16,7 +16,13 @@
 //!    whole optimal profile is a one-parameter family
 //!    `q_n(t) = clamp(((α/4R)·a_n²G_n²·(t − v_n)/c_n)^{1/3})` in `t = 1/λ`;
 //!    budget spend is monotone along the path (Proposition 1), so the tight
-//!    budget of Lemma 3 pins `t` by bisection.
+//!    budget of Lemma 3 pins `t` by bisection. It is the one entry point of
+//!    the KKT path: a [`KktRequest`] names the population, bound, budget
+//!    and options, plus an optional warm-start hint, an optional threshold
+//!    index and a metric sink. Without an index the bisection probes the
+//!    exact spend (the bit-pinned certifier); with one it probes the
+//!    index's O(log N) model and certifies the root against exact probes
+//!    ([`crate::active_set`]).
 //! 2. [`solve_m_search`] — the paper's literal two-step method for P1″:
 //!    fix `M = Σ c_n q_n²`, solve the then-convex inner problem (we use a
 //!    quadratic-penalty projected-gradient method in place of CVX), and
@@ -27,16 +33,19 @@
 //!
 //! # Scale
 //!
-//! [`solve_kkt`] runs its per-client passes — the λ-evaluation inside the
-//! budget bisection, the final profile fill and the price read-back — as
-//! deterministic chunked reductions over scoped crossbeam workers
-//! ([`fedfl_num::parallel`]): one bisection step is O(N / threads) and
-//! materialises no per-client buffers (each probe costs only the
-//! O(N/8192) chunk bookkeeping of its worker crew), and the chunked
-//! summation tree is fixed by the population size alone, so the same seed
-//! and tolerance produce **bit-identical** prices whether
-//! [`SolverConfig::n_threads`] is 1 or 16. Populations up to millions of
-//! clients are in reach; see the `scale_equilibrium` binary.
+//! Every solver here runs on a [`ShardedPopulation`]; a flat population
+//! is its one-shard case. [`solve_kkt`] runs its per-client passes — the
+//! λ-evaluation inside the budget bisection, the final profile fill and
+//! the price read-back — as deterministic chunked reductions over scoped
+//! crossbeam workers ([`fedfl_num::parallel`]): one bisection step is
+//! O(N / threads) and materialises no per-client buffers (each probe
+//! costs only the O(N/8192) chunk bookkeeping of its worker crew). Shard
+//! boundaries lie on the chunk grid and per-shard partials merge in shard
+//! order, so the summation tree is fixed by the population size alone:
+//! the same seed and tolerance produce **bit-identical** prices whether
+//! [`SolverConfig::n_threads`] is 1 or 16 and whatever the shard count.
+//! Populations up to millions of clients are in reach; see the
+//! `scale_equilibrium` binary.
 
 use crate::active_set::ActiveSetIndex;
 use crate::bound::BoundParams;
@@ -51,6 +60,7 @@ use fedfl_num::solve::{
 use fedfl_obs::{Metric, NoopRecorder, Recorder, Stopwatch};
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
+use std::ops::Range;
 
 /// Execution configuration shared by the Stage-I solvers: how hard to
 /// iterate and how many workers run the per-client passes.
@@ -154,105 +164,54 @@ impl StageOneSolution {
     }
 }
 
-/// Borrowed view of one or many shard column-sets — the abstraction every
-/// Stage-I per-client pass runs on.
+/// Two-level deterministic reduction over a population's shards — the
+/// shape of every Stage-I per-client pass.
 ///
-/// A flat [`PopulationColumns`] is a single-shard view; a
-/// [`ShardedPopulation`] contributes one shard per column-set. Reductions
-/// are evaluated as a two-level merge: each shard produces its per-chunk
-/// partial sums ([`chunk_partial_sums`]) and the partials are merged **in
-/// shard order** ([`merge_shard_partials`]). Because shard boundaries are
-/// chunk-aligned, the merged summation tree is the flat reduction's tree —
-/// results are bit-identical for any shard count and any thread count.
-struct ShardView<'a> {
-    shards: Vec<&'a PopulationColumns>,
-    /// Prefix offsets plus the total length (`offsets.len() == shards + 1`).
-    offsets: Vec<usize>,
+/// `f` receives a shard's columns, a shard-local index range, and the
+/// shard's global offset (for indexing global per-client arrays such as a
+/// profile `q`). All shards' chunks share one job queue and one worker
+/// crew per call ([`multi_shard_sum`]), so a probe over many small shards
+/// spawns no per-shard crews and hits no per-shard barriers. Because
+/// shard boundaries are chunk-aligned, the merged summation tree is the
+/// flat reduction's tree: results are bit-identical for any shard count
+/// and any thread count.
+fn shard_sum<F>(population: &ShardedPopulation, n_threads: usize, f: F) -> f64
+where
+    F: Fn(&PopulationColumns, Range<usize>, usize) -> f64 + Sync,
+{
+    let shards = population.shards();
+    if let [shard] = shards {
+        return chunked_sum(shard.len(), n_threads, |range| f(shard, range, 0));
+    }
+    let lens: Vec<usize> = shards.iter().map(PopulationColumns::len).collect();
+    multi_shard_sum(&lens, n_threads, |s, local| {
+        f(&shards[s], local, population.offset(s))
+    })
 }
 
-impl<'a> ShardView<'a> {
-    /// View flat columns as a single shard.
-    fn single(cols: &'a PopulationColumns) -> Self {
-        Self {
-            shards: vec![cols],
-            offsets: vec![0, cols.len()],
-        }
-    }
-
-    /// View a sharded population's column-sets.
-    fn of(population: &'a ShardedPopulation) -> Self {
-        let shards: Vec<&PopulationColumns> = population.shards().iter().collect();
-        let mut offsets = Vec::with_capacity(shards.len() + 1);
-        offsets.push(0);
-        let mut total = 0usize;
-        for shard in &shards {
-            total += shard.len();
-            offsets.push(total);
-        }
-        Self { shards, offsets }
-    }
-
-    /// Total number of clients across all shards.
-    fn len(&self) -> usize {
-        *self.offsets.last().expect("offsets never empty")
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Two-level deterministic reduction: `f` receives a shard's columns,
-    /// a shard-local index range, and the shard's global offset (for
-    /// indexing global per-client arrays such as a profile `q`). All
-    /// shards' chunks share one job queue and one worker crew per call
-    /// ([`multi_shard_sum`]), so a probe over many small shards spawns no
-    /// per-shard crews and hits no per-shard barriers.
-    fn sum<F>(&self, n_threads: usize, f: F) -> f64
-    where
-        F: Fn(&PopulationColumns, std::ops::Range<usize>, usize) -> f64 + Sync,
-    {
-        if self.shards.len() == 1 {
-            let shard = self.shards[0];
-            return chunked_sum(shard.len(), n_threads, |range| f(shard, range, 0));
-        }
-        let lens: Vec<usize> = self.shards.iter().map(|s| s.len()).collect();
-        multi_shard_sum(&lens, n_threads, |s, local| {
-            f(self.shards[s], local, self.offsets[s])
-        })
-    }
-
-    /// Fill the global buffer `out` shard by shard; `f` receives a shard's
-    /// columns, the shard-local start index of the slice, the shard's
-    /// global offset, and the output sub-slice to write.
-    fn fill<F>(&self, out: &mut [f64], n_threads: usize, f: F)
-    where
-        F: Fn(&PopulationColumns, usize, usize, &mut [f64]) + Sync,
-    {
-        debug_assert_eq!(out.len(), self.len());
-        for (shard, &offset) in self.shards.iter().zip(&self.offsets) {
-            chunked_fill(
-                &mut out[offset..offset + shard.len()],
-                n_threads,
-                |local_start, slice| f(shard, local_start, offset, slice),
-            );
-        }
-    }
-
-    /// The shard and shard-local index of global client `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    fn locate(&self, i: usize) -> (&'a PopulationColumns, usize) {
-        let s = self.offsets.partition_point(|&o| o <= i) - 1;
-        (self.shards[s], i - self.offsets[s])
+/// Fill the global buffer `out` shard by shard; `f` receives a shard's
+/// columns, the shard-local start index of the slice, the shard's global
+/// offset, and the output sub-slice to write.
+fn shard_fill<F>(population: &ShardedPopulation, out: &mut [f64], n_threads: usize, f: F)
+where
+    F: Fn(&PopulationColumns, usize, usize, &mut [f64]) + Sync,
+{
+    debug_assert_eq!(out.len(), population.len());
+    for (s, shard) in population.shards().iter().enumerate() {
+        let offset = population.offset(s);
+        chunked_fill(
+            &mut out[offset..offset + shard.len()],
+            n_threads,
+            |local_start, slice| f(shard, local_start, offset, slice),
+        );
     }
 }
 
 /// The path parameter `t` at which every client sits at its cap (plus a
 /// relative epsilon so the saturated profile is strictly inside).
-fn saturation_t(view: &ShardView<'_>, aor: f64) -> f64 {
-    view.shards
+fn saturation_t(population: &ShardedPopulation, aor: f64) -> f64 {
+    population
+        .shards()
         .iter()
         .map(|cols| {
             (0..cols.len())
@@ -274,37 +233,17 @@ fn saturation_t(view: &ShardView<'_>, aor: f64) -> f64 {
 /// picking a fraction of the floor-to-saturation *spend* range instead
 /// can land in a region where the spend curve of a heavy-tailed
 /// population is steeper than f64 resolution in `t`, and no solver could
-/// be budget-tight there. `frac` is clamped to `[0, 1]`.
+/// be budget-tight there. `frac` is clamped to `[0, 1]`. The result is
+/// bit-identical for any shard count.
 pub fn path_budget(
-    population: &Population,
-    bound: &BoundParams,
-    options: &SolverOptions,
-    frac: f64,
-) -> f64 {
-    let cols = population.columns();
-    path_budget_view(&ShardView::single(&cols), bound, options, frac)
-}
-
-/// [`path_budget`] over shard column-sets — bit-identical to the flat
-/// version over the concatenated population, for any shard count.
-pub fn path_budget_sharded(
     population: &ShardedPopulation,
     bound: &BoundParams,
     options: &SolverOptions,
     frac: f64,
 ) -> f64 {
-    path_budget_view(&ShardView::of(population), bound, options, frac)
-}
-
-fn path_budget_view(
-    view: &ShardView<'_>,
-    bound: &BoundParams,
-    options: &SolverOptions,
-    frac: f64,
-) -> f64 {
     let aor = bound.alpha_over_r();
-    let t = frac.clamp(0.0, 1.0) * saturation_t(view, aor);
-    path_spend(view, aor, options.q_min, t, options.config.n_threads)
+    let t = frac.clamp(0.0, 1.0) * saturation_t(population, aor);
+    path_spend(population, aor, options.q_min, t, options.config.n_threads)
 }
 
 /// The per-client participation level on the KKT path at `t = 1/λ`:
@@ -318,9 +257,15 @@ fn path_q(coef: f64, a2g2: f64, cost: f64, value: f64, q_max: f64, q_min: f64, t
 /// Fused spend along the KKT path: `Σ P(q_n(t)) q_n(t)` evaluated without
 /// materialising the profile — the λ-evaluation inside every bisection
 /// step, as a two-level merge of per-shard partial spends.
-fn path_spend(view: &ShardView<'_>, aor: f64, q_min: f64, t: f64, n_threads: usize) -> f64 {
+fn path_spend(
+    population: &ShardedPopulation,
+    aor: f64,
+    q_min: f64,
+    t: f64,
+    n_threads: usize,
+) -> f64 {
     let coef = aor / 4.0;
-    view.sum(n_threads, |cols, range, _offset| {
+    shard_sum(population, n_threads, |cols, range, _offset| {
         let mut acc = 0.0;
         for i in range {
             let q = path_q(
@@ -341,7 +286,7 @@ fn path_spend(view: &ShardView<'_>, aor: f64, q_min: f64, t: f64, n_threads: usi
 
 /// Fill `out` with the KKT-path profile at `t` (parallel, allocation-free).
 fn fill_path_profile(
-    view: &ShardView<'_>,
+    population: &ShardedPopulation,
     aor: f64,
     q_min: f64,
     t: f64,
@@ -349,26 +294,31 @@ fn fill_path_profile(
     n_threads: usize,
 ) {
     let coef = aor / 4.0;
-    view.fill(out, n_threads, |cols, local_start, _offset, slice| {
-        for (k, q) in slice.iter_mut().enumerate() {
-            let i = local_start + k;
-            *q = path_q(
-                coef,
-                cols.a2g2[i],
-                cols.cost[i],
-                cols.value[i],
-                cols.q_max[i],
-                q_min,
-                t,
-            );
-        }
-    });
+    shard_fill(
+        population,
+        out,
+        n_threads,
+        |cols, local_start, _offset, slice| {
+            for (k, q) in slice.iter_mut().enumerate() {
+                let i = local_start + k;
+                *q = path_q(
+                    coef,
+                    cols.a2g2[i],
+                    cols.cost[i],
+                    cols.value[i],
+                    cols.q_max[i],
+                    q_min,
+                    t,
+                );
+            }
+        },
+    );
 }
 
 /// Total payment `Σ P_n(q_n) q_n` for an explicit participation profile
-/// (indexed by the view's global order).
-fn profile_spend(view: &ShardView<'_>, aor: f64, q: &[f64], n_threads: usize) -> f64 {
-    view.sum(n_threads, |cols, range, offset| {
+/// (indexed by the global client order).
+fn profile_spend(population: &ShardedPopulation, aor: f64, q: &[f64], n_threads: usize) -> f64 {
+    shard_sum(population, n_threads, |cols, range, offset| {
         let mut acc = 0.0;
         for i in range {
             let qn = q[offset + i];
@@ -379,125 +329,71 @@ fn profile_spend(view: &ShardView<'_>, aor: f64, q: &[f64], n_threads: usize) ->
 }
 
 /// Fill `prices` with the equation-(17) read-back `P_n = 2 c q − K/q²`.
-fn fill_prices(view: &ShardView<'_>, aor: f64, q: &[f64], prices: &mut [f64], n_threads: usize) {
-    view.fill(prices, n_threads, |cols, local_start, offset, slice| {
-        for (k, p) in slice.iter_mut().enumerate() {
-            let i = local_start + k;
-            let qn = q[offset + i];
-            *p = 2.0 * cols.cost[i] * qn - cols.value[i] * aor * cols.a2g2[i] / (qn * qn);
-        }
-    });
-}
-
-fn validate_inputs(
-    population: &Population,
-    budget: f64,
-    options: &SolverOptions,
-) -> Result<(), GameError> {
-    if !budget.is_finite() {
-        return Err(GameError::InvalidParameter {
-            name: "budget",
-            reason: format!("must be finite, got {budget}"),
-        });
-    }
-    if !(options.q_min > 0.0 && options.q_min < 1.0) {
-        return Err(GameError::InvalidParameter {
-            name: "q_min",
-            reason: format!("must lie in (0, 1), got {}", options.q_min),
-        });
-    }
-    if options.m_grid_steps < 2 {
-        return Err(GameError::InvalidParameter {
-            name: "m_grid_steps",
-            reason: "need at least 2 grid steps".into(),
-        });
-    }
-    if !(options.config.tolerance.is_finite() && options.config.tolerance > 0.0) {
-        return Err(GameError::InvalidParameter {
-            name: "tolerance",
-            reason: format!(
-                "must be finite and positive, got {}",
-                options.config.tolerance
-            ),
-        });
-    }
-    if options.config.max_iters == 0 {
-        return Err(GameError::InvalidParameter {
-            name: "max_iters",
-            reason: "need at least one bisection iteration".into(),
-        });
-    }
-    if population.iter().any(|c| c.q_max <= options.q_min) {
-        return Err(GameError::InvalidParameter {
-            name: "q_max",
-            reason: "every client needs q_max > q_min".into(),
-        });
-    }
-    Ok(())
-}
-
-/// Budget/option checks shared by every columns-level entry point.
-fn validate_solver_knobs(budget: f64, options: &SolverOptions) -> Result<(), GameError> {
-    if !budget.is_finite() {
-        return Err(GameError::InvalidParameter {
-            name: "budget",
-            reason: format!("must be finite, got {budget}"),
-        });
-    }
-    if !(options.q_min > 0.0 && options.q_min < 1.0) {
-        return Err(GameError::InvalidParameter {
-            name: "q_min",
-            reason: format!("must lie in (0, 1), got {}", options.q_min),
-        });
-    }
-    if !(options.config.tolerance.is_finite() && options.config.tolerance > 0.0) {
-        return Err(GameError::InvalidParameter {
-            name: "tolerance",
-            reason: format!(
-                "must be finite and positive, got {}",
-                options.config.tolerance
-            ),
-        });
-    }
-    if options.config.max_iters == 0 {
-        return Err(GameError::InvalidParameter {
-            name: "max_iters",
-            reason: "need at least one bisection iteration".into(),
-        });
-    }
-    Ok(())
-}
-
-/// Input validation for the columns-level solver entry points, mirroring
-/// [`validate_inputs`] for callers that never materialise a [`Population`]
-/// — applied shard by shard, reporting global client indices.
-fn validate_view(
-    view: &ShardView<'_>,
-    budget: f64,
-    options: &SolverOptions,
-) -> Result<(), GameError> {
-    for shard in &view.shards {
-        for (len, _name) in [
-            (shard.cost.len(), "cost"),
-            (shard.value.len(), "value"),
-            (shard.q_max.len(), "q_max"),
-        ] {
-            if len != shard.a2g2.len() {
-                return Err(GameError::LengthMismatch {
-                    expected: shard.a2g2.len(),
-                    found: len,
-                });
+fn fill_prices(
+    population: &ShardedPopulation,
+    aor: f64,
+    q: &[f64],
+    prices: &mut [f64],
+    n_threads: usize,
+) {
+    shard_fill(
+        population,
+        prices,
+        n_threads,
+        |cols, local_start, offset, slice| {
+            for (k, p) in slice.iter_mut().enumerate() {
+                let i = local_start + k;
+                let qn = q[offset + i];
+                *p = 2.0 * cols.cost[i] * qn - cols.value[i] * aor * cols.a2g2[i] / (qn * qn);
             }
-        }
+        },
+    );
+}
+
+/// The input check of the Stage-I solvers, applied shard by shard and
+/// reporting global client indices.
+fn validate(
+    population: &ShardedPopulation,
+    budget: f64,
+    options: &SolverOptions,
+) -> Result<(), GameError> {
+    for shard in population.shards() {
+        shard.check_lengths()?;
     }
-    if view.is_empty() {
+    if population.is_empty() {
         return Err(GameError::InvalidParameter {
             name: "columns",
             reason: "need at least one client".into(),
         });
     }
-    validate_solver_knobs(budget, options)?;
-    for (cols, &offset) in view.shards.iter().zip(&view.offsets) {
+    if !budget.is_finite() {
+        return Err(GameError::InvalidParameter {
+            name: "budget",
+            reason: format!("must be finite, got {budget}"),
+        });
+    }
+    if !(options.q_min > 0.0 && options.q_min < 1.0) {
+        return Err(GameError::InvalidParameter {
+            name: "q_min",
+            reason: format!("must lie in (0, 1), got {}", options.q_min),
+        });
+    }
+    if !(options.config.tolerance.is_finite() && options.config.tolerance > 0.0) {
+        return Err(GameError::InvalidParameter {
+            name: "tolerance",
+            reason: format!(
+                "must be finite and positive, got {}",
+                options.config.tolerance
+            ),
+        });
+    }
+    if options.config.max_iters == 0 {
+        return Err(GameError::InvalidParameter {
+            name: "max_iters",
+            reason: "need at least one bisection iteration".into(),
+        });
+    }
+    for (s, cols) in population.shards().iter().enumerate() {
         for i in 0..cols.len() {
             let valid = cols.a2g2[i].is_finite()
                 && cols.a2g2[i] > 0.0
@@ -512,31 +408,13 @@ fn validate_view(
                     name: "columns",
                     reason: format!(
                         "client {} invalid: a2g2={}, cost={}, value={}, q_max={} (need positives and q_max > q_min)",
-                        offset + i, cols.a2g2[i], cols.cost[i], cols.value[i], cols.q_max[i]
+                        population.offset(s) + i, cols.a2g2[i], cols.cost[i], cols.value[i], cols.q_max[i]
                     ),
                 });
             }
         }
     }
     Ok(())
-}
-
-/// Solve Stage I along the KKT path (the fast solver).
-///
-/// # Errors
-///
-/// Returns [`GameError`] for invalid inputs; the solver itself is total —
-/// budgets below the floor spend saturate at `q_min` and budgets above the
-/// saturation spend return the all-`q_max` profile with `saturated = true`.
-pub fn solve_kkt(
-    population: &Population,
-    bound: &BoundParams,
-    budget: f64,
-    options: &SolverOptions,
-) -> Result<StageOneSolution, GameError> {
-    validate_inputs(population, budget, options)?;
-    let cols = population.columns();
-    Ok(solve_kkt_view_unchecked(&ShardView::single(&cols), bound, budget, options, None)?.0)
 }
 
 /// Which Stage-I solver path produced a solution.
@@ -603,33 +481,12 @@ pub struct KktDiagnostics {
     /// plus `N` for each exact certification probe. Fallback solves
     /// include the wasted fast-phase work.
     pub probe_evaluations: u64,
-    /// Nanoseconds spent (re)building or patching the threshold index
-    /// for this solve (0 for the exact path and for solves reusing a
-    /// caller-held index untouched).
-    pub index_rebuild_ns: u64,
-    /// Index segments re-sorted for this solve: the whole segment list
-    /// on a cold build, only the dirty segments on an incremental patch,
-    /// 0 when the index was reused or the exact path ran. Callers
-    /// holding their own index (the pricing service) fill this from
-    /// [`crate::active_set::PatchStats`].
-    pub index_segments_rebuilt: u64,
-    /// Clean segments re-sorted only because scale drift reordered
-    /// their thresholds (patch "repairs" — no membership change).
-    pub index_segments_repaired: u64,
-    /// Segments reused verbatim by an incremental patch (zero sort
-    /// work).
-    pub index_segments_reused: u64,
 }
 
 impl KktDiagnostics {
     /// Record this solve into `recorder`: the per-mode solve counters,
-    /// the probe/iteration totals, the solve wall time, and — when this
-    /// solve built its own index — the index-build span.
-    ///
-    /// The `_observed` solver entry points call this once per solve;
-    /// callers holding their own diagnostics (e.g. bench bins) can call
-    /// it directly so every surface feeds the same counters.
-    pub fn record_solve<R: Recorder + ?Sized>(&self, recorder: &R, solve_ns: u64) {
+    /// the probe/iteration totals and the solve wall time.
+    fn record_solve(&self, recorder: &dyn Recorder, solve_ns: u64) {
         recorder.add(Metric::SolverSolves, 1);
         let mode_metric = match self.solver_mode {
             SolverMode::Exact => Metric::SolverExactSolves,
@@ -643,136 +500,148 @@ impl KktDiagnostics {
             self.bisect_iterations as u64,
         );
         recorder.observe(Metric::SolverSolveNs, solve_ns);
-        if self.index_rebuild_ns > 0 {
-            recorder.add(Metric::SolverIndexBuilds, 1);
-            recorder.observe(Metric::SolverIndexBuildNs, self.index_rebuild_ns);
+    }
+}
+
+/// One Stage-I solve along the KKT path: the input of [`solve_kkt`].
+///
+/// [`KktRequest::new`] gives the exact, cold, unobserved solve; set the
+/// optional fields with struct-update syntax:
+///
+/// ```
+/// # use fedfl_core::bound::BoundParams;
+/// # use fedfl_core::population::{Population, PopulationSpec};
+/// # use fedfl_core::server::{solve_kkt, KktRequest, SolverOptions};
+/// # use fedfl_core::shard::ShardedPopulation;
+/// let population = Population::synthesize(100, &PopulationSpec::table1_like(), 1).unwrap();
+/// let sharded = ShardedPopulation::from(&population);
+/// let bound = BoundParams::new(4_000.0, 100.0, 1_000).unwrap();
+/// let options = SolverOptions::default();
+/// let cold = KktRequest::new(&sharded, &bound, 1.0, &options);
+/// let (solution, diag) = solve_kkt(&cold).unwrap();
+/// let warm = KktRequest { hint: Some(diag.t_star), ..cold };
+/// assert_eq!(solve_kkt(&warm).unwrap().0, solution);
+/// ```
+#[derive(Clone, Copy)]
+pub struct KktRequest<'a> {
+    /// The clients, as chunk-aligned shards. A flat population is one
+    /// shard: `ShardedPopulation::from(&population)`, or without a copy
+    /// `ShardedPopulation::from(columns)`.
+    pub population: &'a ShardedPopulation,
+    /// The Theorem 1 bound constants.
+    pub bound: &'a BoundParams,
+    /// The server's budget `B`.
+    pub budget: f64,
+    /// Floor, tolerance, iteration cap and worker threads.
+    pub options: &'a SolverOptions,
+    /// A guess at the path parameter `t = 1/λ` — typically
+    /// [`KktDiagnostics::t_star`] of the previous solve of a slightly
+    /// different population. The budget bisection descends its dyadic
+    /// bracket tree toward the hint and verifies containment before
+    /// trusting it ([`fedfl_num::solve::bisect_monotone_instrumented`]),
+    /// so the solution is **bit-identical** to the cold solve for any
+    /// hint; a good hint only removes bisection iterations, a useless
+    /// one falls back to the full bracket.
+    pub hint: Option<f64>,
+    /// `None` runs the exact solver; `Some` runs the certified
+    /// threshold-index fast path against this index, which must have
+    /// been built over exactly this population at this `α/R` and
+    /// `q_min`.
+    pub index: Option<&'a ActiveSetIndex>,
+    /// Sink for the solve's metrics ([`NoopRecorder`] when unobserved).
+    /// The solve is byte-for-byte the same for any recorder.
+    pub recorder: &'a dyn Recorder,
+}
+
+impl<'a> KktRequest<'a> {
+    /// An exact, cold, unobserved solve of `population` at `budget`.
+    pub fn new(
+        population: &'a ShardedPopulation,
+        bound: &'a BoundParams,
+        budget: f64,
+        options: &'a SolverOptions,
+    ) -> Self {
+        Self {
+            population,
+            bound,
+            budget,
+            options,
+            hint: None,
+            index: None,
+            recorder: &NoopRecorder,
         }
     }
 }
 
-/// [`solve_kkt`] on pre-extracted [`PopulationColumns`] — the sweep/service
-/// entry point that keeps the columns alive across many solves.
+/// Solve Stage I along the KKT path.
+///
+/// Without an index, every probe of the budget bisection is the exact
+/// spend — a chunked reduction merged in shard order, O(N / threads)
+/// and allocation-free — so the solution is **bit-identical** for any
+/// shard count, thread count and hint ([`SolverMode::Exact`]).
+///
+/// With an index, the bisection probes the O(log N) spend *model* of the
+/// [`ActiveSetIndex`] instead, and the root it finds is **certified**
+/// against the exact solver's ground truth
+/// ([`SolverMode::ThresholdIndex`]):
+///
+/// 1. an exact monotone bracket certificate — two exact probes must pin
+///    the budget between `spend(t̂ − ε)` and `spend(t̂ + ε)`, for a
+///    relative band of 1e-9, widened ×100 per retry up to 1e-5;
+/// 2. the exact sampled Theorem-2 residual of the materialised profile
+///    must stay within the solver tolerance.
+///
+/// Any violation, or an unusable index (another population, other knobs,
+/// degenerate), demotes the solve to the exact path: the solution is then
+/// bit-identical to the exact solve's, flagged
+/// [`SolverMode::ThresholdIndexFallback`]. Certified fast solutions are
+/// *not* bit-pinned to the exact solver — the index's reordered summation
+/// and truncated value series land the bisection on a root within the
+/// certificate band of the exact root, not on the same bits. The exact
+/// solver remains the default and the goldens' reference.
+///
+/// The solve's counters (per-mode solves, probe evaluations, bisection
+/// iterations) and wall time are recorded into the request's recorder,
+/// together with the fast path's certification outcomes. Index build and
+/// patch work is the index holder's to measure and report.
 ///
 /// # Errors
 ///
-/// Returns [`GameError`] for invalid inputs (mismatched column lengths,
-/// non-finite budget, a client with `q_max <= q_min`, or non-positive
-/// `a2g2`/`cost` entries).
-pub fn solve_kkt_columns(
-    cols: &PopulationColumns,
-    bound: &BoundParams,
-    budget: f64,
-    options: &SolverOptions,
-) -> Result<StageOneSolution, GameError> {
-    let view = ShardView::single(cols);
-    validate_view(&view, budget, options)?;
-    Ok(solve_kkt_view_unchecked(&view, bound, budget, options, None)?.0)
-}
-
-/// [`solve_kkt_columns`] over a slice of shard column-sets: each λ-probe
-/// evaluates the shards' partial spends and merges them in shard order, so
-/// the result is **bit-identical** to the flat solve over
-/// [`ShardedPopulation::concat`] for any shard count and thread count —
-/// the contract that lets shards live on independent workers.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_kkt_columns`], reported with global client
-/// indices.
-pub fn solve_kkt_sharded(
-    population: &ShardedPopulation,
-    bound: &BoundParams,
-    budget: f64,
-    options: &SolverOptions,
-) -> Result<StageOneSolution, GameError> {
-    let view = ShardView::of(population);
-    validate_view(&view, budget, options)?;
-    Ok(solve_kkt_view_unchecked(&view, bound, budget, options, None)?.0)
-}
-
-/// [`solve_kkt_sharded`] with an optional warm-start hint and solve
-/// diagnostics — the sharded counterpart of [`solve_kkt_columns_hinted`],
-/// with the same bit-identity guarantee for any hint.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_kkt_columns`].
-pub fn solve_kkt_sharded_hinted(
-    population: &ShardedPopulation,
-    bound: &BoundParams,
-    budget: f64,
-    options: &SolverOptions,
-    hint: Option<f64>,
+/// Returns [`GameError`] for invalid inputs: mismatched column lengths,
+/// no clients, a non-finite budget, `q_min` outside `(0, 1)`, a
+/// non-positive tolerance, `max_iters == 0`, or a client with non-finite
+/// or non-positive `a2g2`/`cost`, a negative or non-finite `value`, or
+/// `q_max <= q_min` (reported with its global index). The solver itself
+/// is total — budgets below the floor spend saturate at `q_min` and
+/// budgets above the saturation spend return the all-`q_max` profile
+/// with `saturated = true`.
+pub fn solve_kkt(
+    request: &KktRequest<'_>,
 ) -> Result<(StageOneSolution, KktDiagnostics), GameError> {
-    let view = ShardView::of(population);
-    validate_view(&view, budget, options)?;
-    solve_kkt_view_unchecked(&view, bound, budget, options, hint)
-}
-
-/// [`solve_kkt_sharded_hinted`] recording solve metrics into `recorder`.
-///
-/// The solve itself is byte-for-byte the unobserved one — the recorder is
-/// only fed afterwards from the diagnostics plus a [`Stopwatch`] span, so
-/// the bit-identity contract holds for any recorder.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_kkt_columns`].
-pub fn solve_kkt_sharded_hinted_observed<R: Recorder + ?Sized>(
-    population: &ShardedPopulation,
-    bound: &BoundParams,
-    budget: f64,
-    options: &SolverOptions,
-    hint: Option<f64>,
-    recorder: &R,
-) -> Result<(StageOneSolution, KktDiagnostics), GameError> {
-    let view = ShardView::of(population);
-    validate_view(&view, budget, options)?;
+    validate(request.population, request.budget, request.options)?;
     let watch = Stopwatch::start();
-    let (solution, diagnostics) = solve_kkt_view_unchecked(&view, bound, budget, options, hint)?;
-    diagnostics.record_solve(recorder, watch.elapsed_ns());
+    let (solution, diagnostics) = match request.index {
+        None => solve_exact(request)?,
+        Some(index) => solve_certified(request, index)?,
+    };
+    diagnostics.record_solve(request.recorder, watch.elapsed_ns());
     Ok((solution, diagnostics))
 }
 
-/// [`solve_kkt_columns`] with an optional warm-start hint, returning solve
-/// diagnostics alongside the solution.
-///
-/// `hint` is a guess at the path parameter `t = 1/λ` — typically
-/// [`KktDiagnostics::t_star`] of the previous solve of a slightly different
-/// population. The budget bisection descends its dyadic bracket tree toward
-/// the hint and verifies containment before trusting it
-/// ([`fedfl_num::solve::bisect_monotone_instrumented`]), so the returned
-/// solution is **bit-identical** to the cold [`solve_kkt_columns`] result
-/// for any hint; a good hint only removes bisection iterations, a useless
-/// one falls back to the full bracket.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_kkt_columns`].
-pub fn solve_kkt_columns_hinted(
-    cols: &PopulationColumns,
-    bound: &BoundParams,
-    budget: f64,
-    options: &SolverOptions,
-    hint: Option<f64>,
-) -> Result<(StageOneSolution, KktDiagnostics), GameError> {
-    let view = ShardView::single(cols);
-    validate_view(&view, budget, options)?;
-    solve_kkt_view_unchecked(&view, bound, budget, options, hint)
-}
-
-fn solve_kkt_view_unchecked(
-    view: &ShardView<'_>,
-    bound: &BoundParams,
-    budget: f64,
-    options: &SolverOptions,
-    hint: Option<f64>,
-) -> Result<(StageOneSolution, KktDiagnostics), GameError> {
-    let n = view.len();
+fn solve_exact(request: &KktRequest<'_>) -> Result<(StageOneSolution, KktDiagnostics), GameError> {
+    let &KktRequest {
+        population,
+        bound,
+        budget,
+        options,
+        hint,
+        ..
+    } = request;
+    let n = population.len();
     let aor = bound.alpha_over_r();
     let threads = options.config.n_threads;
     // t needed for every client to hit its cap.
-    let t_hi = saturation_t(view, aor);
+    let t_hi = saturation_t(population, aor);
 
     // The λ-evaluation: per-shard partial spends merged in shard order,
     // O(N / threads) per probe, materialising no per-client buffers.
@@ -783,7 +652,7 @@ fn solve_kkt_view_unchecked(
     let probes = Cell::new(0u64);
     let spend_at = |t: f64| {
         probes.set(probes.get() + 1);
-        path_spend(view, aor, options.q_min, t, threads)
+        path_spend(population, aor, options.q_min, t, threads)
     };
 
     let (t_used, lambda, saturated, stats) = if spend_at(t_hi) <= budget {
@@ -809,16 +678,16 @@ fn solve_kkt_view_unchecked(
     // Materialise the profile and prices once, into buffers filled in
     // parallel chunks.
     let mut q = vec![0.0f64; n];
-    fill_path_profile(view, aor, options.q_min, t_used, &mut q, threads);
+    fill_path_profile(population, aor, options.q_min, t_used, &mut q, threads);
     let mut prices = vec![0.0f64; n];
-    fill_prices(view, aor, &q, &mut prices, threads);
+    fill_prices(population, aor, &q, &mut prices, threads);
     if let Some(bad) = prices.iter().position(|p| !p.is_finite()) {
         return Err(GameError::SolverFailed {
             solver: "kkt",
             reason: format!("non-finite price for client {bad}"),
         });
     }
-    let spent = profile_spend(view, aor, &q, threads);
+    let spent = profile_spend(population, aor, &q, threads);
     Ok((
         StageOneSolution {
             q,
@@ -834,10 +703,6 @@ fn solve_kkt_view_unchecked(
             warm_start_depth: stats.start_depth,
             solver_mode: SolverMode::Exact,
             probe_evaluations: probes.get() * n as u64,
-            index_rebuild_ns: 0,
-            index_segments_rebuilt: 0,
-            index_segments_repaired: 0,
-            index_segments_reused: 0,
         },
     ))
 }
@@ -850,163 +715,23 @@ const FAST_RESIDUAL_SEED: u64 = 0xFA57;
 /// ×100 per retry before the fast path gives up and falls back.
 const CERT_BANDS: [f64; 3] = [1e-9, 1e-7, 1e-5];
 
-/// [`solve_kkt_columns`] through the threshold-indexed active-set fast
-/// path (`SolverMode::ThresholdIndex`).
-///
-/// The budget bisection probes the O(log N) spend *model* of an
-/// [`ActiveSetIndex`] built for this call instead of the O(N) exact
-/// sweep. The root it finds is then **certified** against the exact
-/// solver's ground truth:
-///
-/// 1. an exact monotone bracket certificate — two exact probes per band
-///    of [`CERT_BANDS`] must pin the budget between
-///    `spend(t̂ − ε)` and `spend(t̂ + ε)`;
-/// 2. the exact sampled Theorem-2 residual of the materialised profile
-///    must stay within the solver tolerance.
-///
-/// Any violation (or an unusable/degenerate index) demotes the solve to
-/// the exact path — the returned solution is then bit-identical to
-/// [`solve_kkt_columns_hinted`]'s, flagged `ThresholdIndexFallback`.
-/// Certified fast solutions are *not* bit-pinned to the exact solver:
-/// the index's reordered summation and truncated value series land the
-/// bisection on a root within the certificate band of the exact root,
-/// not on the same bits. The exact solver remains the default and the
-/// goldens' reference.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_kkt_columns`].
-pub fn solve_kkt_columns_fast(
-    cols: &PopulationColumns,
-    bound: &BoundParams,
-    budget: f64,
-    options: &SolverOptions,
-) -> Result<(StageOneSolution, KktDiagnostics), GameError> {
-    let view = ShardView::single(cols);
-    validate_view(&view, budget, options)?;
-    let build_watch = Stopwatch::start();
-    let index = ActiveSetIndex::from_columns(cols, bound.alpha_over_r(), options.q_min);
-    let index_rebuild_ns = build_watch.elapsed_ns();
-    let (solution, mut diagnostics) = solve_kkt_view_fast(
-        &view,
-        bound,
-        budget,
-        options,
-        &index,
-        index_rebuild_ns,
-        None,
-        &NoopRecorder,
-    )?;
-    diagnostics.index_segments_rebuilt = index.segment_count() as u64;
-    Ok((solution, diagnostics))
-}
-
-/// [`solve_kkt_columns_fast`] over shard column-sets: per-shard threshold
-/// segments are built in parallel and merged (a build bit-identical to
-/// the flat index for any shard or thread count), then the solve runs the
-/// same certify-or-fallback contract.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_kkt_columns`].
-pub fn solve_kkt_sharded_fast(
-    population: &ShardedPopulation,
-    bound: &BoundParams,
-    budget: f64,
-    options: &SolverOptions,
-) -> Result<(StageOneSolution, KktDiagnostics), GameError> {
-    let view = ShardView::of(population);
-    validate_view(&view, budget, options)?;
-    let build_watch = Stopwatch::start();
-    let index = ActiveSetIndex::build_sharded_threaded(
-        population.shards(),
-        bound.alpha_over_r(),
-        options.q_min,
-        options.config.n_threads,
-    );
-    let index_rebuild_ns = build_watch.elapsed_ns();
-    let (solution, mut diagnostics) = solve_kkt_view_fast(
-        &view,
-        bound,
-        budget,
-        options,
-        &index,
-        index_rebuild_ns,
-        None,
-        &NoopRecorder,
-    )?;
-    diagnostics.index_segments_rebuilt = index.segment_count() as u64;
-    Ok((solution, diagnostics))
-}
-
-/// [`solve_kkt_sharded_fast`] against a caller-maintained index — the
-/// pricing service's warm re-solve entry point, where the index is reused
-/// across budget-only updates and only rebuilt on churn.
-///
-/// The index must have been built over exactly this population at this
-/// `α/R` and `q_min`; a stale or mismatched index is detected (length,
-/// parameter bits, degeneracy) and demoted to the exact fallback rather
-/// than trusted. `hint` warm-starts the model bisection just like the
-/// exact solver's hinted entry points.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_kkt_columns`].
-pub fn solve_kkt_sharded_fast_with_index(
-    population: &ShardedPopulation,
-    bound: &BoundParams,
-    budget: f64,
-    options: &SolverOptions,
-    index: &ActiveSetIndex,
-    hint: Option<f64>,
-) -> Result<(StageOneSolution, KktDiagnostics), GameError> {
-    let view = ShardView::of(population);
-    validate_view(&view, budget, options)?;
-    solve_kkt_view_fast(&view, bound, budget, options, index, 0, hint, &NoopRecorder)
-}
-
-/// [`solve_kkt_sharded_fast_with_index`] recording solve metrics — the
-/// per-mode counters, probe totals, certification-band outcomes and the
-/// solve span — into `recorder`. The solve is byte-for-byte the
-/// unobserved one for any recorder.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_kkt_columns`].
-pub fn solve_kkt_sharded_fast_with_index_observed<R: Recorder + ?Sized>(
-    population: &ShardedPopulation,
-    bound: &BoundParams,
-    budget: f64,
-    options: &SolverOptions,
-    index: &ActiveSetIndex,
-    hint: Option<f64>,
-    recorder: &R,
-) -> Result<(StageOneSolution, KktDiagnostics), GameError> {
-    let view = ShardView::of(population);
-    validate_view(&view, budget, options)?;
-    let watch = Stopwatch::start();
-    let (solution, diagnostics) =
-        solve_kkt_view_fast(&view, bound, budget, options, index, 0, hint, recorder)?;
-    diagnostics.record_solve(recorder, watch.elapsed_ns());
-    Ok((solution, diagnostics))
-}
-
-/// The certify-or-fallback core of the fast path. `index_rebuild_ns`
-/// is reported through the diagnostics untouched (0 = reused index).
-/// `recorder` only receives certification outcomes (band hits, failures,
+/// The certify-or-fallback fast path of [`solve_kkt`]. The request's
+/// recorder receives the certification outcomes (band hits, failures,
 /// residual rejects) — it never influences the solve.
-#[allow(clippy::too_many_arguments)]
-fn solve_kkt_view_fast<R: Recorder + ?Sized>(
-    view: &ShardView<'_>,
-    bound: &BoundParams,
-    budget: f64,
-    options: &SolverOptions,
+fn solve_certified(
+    request: &KktRequest<'_>,
     index: &ActiveSetIndex,
-    index_rebuild_ns: u64,
-    hint: Option<f64>,
-    recorder: &R,
 ) -> Result<(StageOneSolution, KktDiagnostics), GameError> {
-    let n = view.len();
+    let &KktRequest {
+        population,
+        bound,
+        budget,
+        options,
+        hint,
+        recorder,
+        ..
+    } = request;
+    let n = population.len();
     let aor = bound.alpha_over_r();
     let threads = options.config.n_threads;
     // A usable index describes exactly this population at exactly these
@@ -1025,7 +750,7 @@ fn solve_kkt_view_fast<R: Recorder + ?Sized>(
         }
         let exact_spend = |t: f64| {
             exact_probes.set(exact_probes.get() + 1);
-            path_spend(view, aor, options.q_min, t, threads)
+            path_spend(population, aor, options.q_min, t, threads)
         };
         let t_hi = index.bracket_hi();
 
@@ -1081,14 +806,14 @@ fn solve_kkt_view_fast<R: Recorder + ?Sized>(
 
         // Materialise exactly, as the exact solver does.
         let mut q = vec![0.0f64; n];
-        fill_path_profile(view, aor, options.q_min, t_used, &mut q, threads);
+        fill_path_profile(population, aor, options.q_min, t_used, &mut q, threads);
         let mut prices = vec![0.0f64; n];
-        fill_prices(view, aor, &q, &mut prices, threads);
+        fill_prices(population, aor, &q, &mut prices, threads);
         if prices.iter().any(|p| !p.is_finite()) {
             // Let the exact path produce its own (identical) diagnosis.
             break 'fast None;
         }
-        let spent = profile_spend(view, aor, &q, threads);
+        let spent = profile_spend(population, aor, &q, threads);
         let solution = StageOneSolution {
             q,
             prices,
@@ -1097,8 +822,8 @@ fn solve_kkt_view_fast<R: Recorder + ?Sized>(
             saturated,
         };
         // Exact Theorem-2 residual gate on the materialised profile.
-        let residual_ok = match theorem2_max_residual_view(
-            view,
+        let residual_ok = match theorem2_max_residual(
+            population,
             bound,
             &solution,
             FAST_RESIDUAL_SAMPLE,
@@ -1126,17 +851,11 @@ fn solve_kkt_view_fast<R: Recorder + ?Sized>(
                 warm_start_depth: stats.start_depth,
                 solver_mode: SolverMode::ThresholdIndex,
                 probe_evaluations: fast_phase_evaluations,
-                index_rebuild_ns,
-                index_segments_rebuilt: 0,
-                index_segments_repaired: 0,
-                index_segments_reused: 0,
             },
         )),
         None => {
-            let (solution, mut diagnostics) =
-                solve_kkt_view_unchecked(view, bound, budget, options, hint)?;
+            let (solution, mut diagnostics) = solve_exact(request)?;
             diagnostics.solver_mode = SolverMode::ThresholdIndexFallback;
-            diagnostics.index_rebuild_ns = index_rebuild_ns;
             diagnostics.probe_evaluations += fast_phase_evaluations;
             Ok((solution, diagnostics))
         }
@@ -1157,40 +876,19 @@ fn solve_kkt_view_fast<R: Recorder + ?Sized>(
 /// cheap next to a bisection — and lands within a handful of dyadic levels
 /// of the true root under realistic churn.
 ///
-/// The result is *only a hint*: [`solve_kkt_columns_hinted`] verifies the
-/// bracket it implies before trusting it, so a misprediction costs a few
-/// probes, never correctness. Returns `None` when the model degenerates
-/// (no interior clients at the split, or no budget left after `C`).
+/// The result is *only a hint*: [`solve_kkt`] verifies the bracket it
+/// implies before trusting it ([`KktRequest::hint`]), so a misprediction
+/// costs a few probes, never correctness. Returns `None` when the model
+/// degenerates (no interior clients at the split, or no budget left after
+/// `C`). The estimate is bit-identical for any shard count.
 pub fn estimate_path_parameter(
-    cols: &PopulationColumns,
-    bound: &BoundParams,
-    budget: f64,
-    t_ref: f64,
-    n_threads: usize,
-) -> Option<f64> {
-    estimate_path_parameter_view(&ShardView::single(cols), bound, budget, t_ref, n_threads)
-}
-
-/// [`estimate_path_parameter`] over shard column-sets (bit-identical to
-/// the flat estimate over the concatenation, for any shard count).
-pub fn estimate_path_parameter_sharded(
     population: &ShardedPopulation,
     bound: &BoundParams,
     budget: f64,
     t_ref: f64,
     n_threads: usize,
 ) -> Option<f64> {
-    estimate_path_parameter_view(&ShardView::of(population), bound, budget, t_ref, n_threads)
-}
-
-fn estimate_path_parameter_view(
-    view: &ShardView<'_>,
-    bound: &BoundParams,
-    budget: f64,
-    t_ref: f64,
-    n_threads: usize,
-) -> Option<f64> {
-    if view.is_empty() || !(t_ref.is_finite() && t_ref > 0.0) {
+    if population.is_empty() || !(t_ref.is_finite() && t_ref > 0.0) {
         return None;
     }
     let aor = bound.alpha_over_r();
@@ -1198,7 +896,7 @@ fn estimate_path_parameter_view(
     let mut t = t_ref;
     let mut estimate = None;
     for _ in 0..8 {
-        let saturated_spend = view.sum(n_threads, |cols, range, _offset| {
+        let saturated_spend = shard_sum(population, n_threads, |cols, range, _offset| {
             let mut acc = 0.0;
             for i in range {
                 let t_sat =
@@ -1217,7 +915,7 @@ fn estimate_path_parameter_view(
             t *= 0.5;
             continue;
         }
-        let interior_coefficient = view.sum(n_threads, |cols, range, _offset| {
+        let interior_coefficient = shard_sum(population, n_threads, |cols, range, _offset| {
             let mut acc = 0.0;
             for i in range {
                 let t_sat =
@@ -1255,35 +953,13 @@ fn estimate_path_parameter_view(
 /// replacement), skipping floored/capped clients.
 ///
 /// This is the columns-level counterpart of
-/// [`crate::equilibrium::StackelbergEquilibrium::theorem2_max_residual`];
-/// the pricing service asserts it after every incremental re-solve. Returns
-/// `None` when the solution has no interior KKT multiplier or no sampled
-/// client is interior.
-pub fn theorem2_max_residual_columns(
-    cols: &PopulationColumns,
-    bound: &BoundParams,
-    solution: &StageOneSolution,
-    sample: usize,
-    seed: u64,
-) -> Option<f64> {
-    theorem2_max_residual_view(&ShardView::single(cols), bound, solution, sample, seed)
-}
-
-/// [`theorem2_max_residual_columns`] over shard column-sets — the sampled
-/// indices and residuals are identical to the flat check over the
-/// concatenation, for any shard count.
-pub fn theorem2_max_residual_sharded(
+/// [`crate::equilibrium::StackelbergEquilibrium::theorem2_max_residual`]
+/// — the sampled indices and residuals are the same for any shard count;
+/// the pricing service asserts it after every incremental re-solve.
+/// Returns `None` when the solution has no interior KKT multiplier or no
+/// sampled client is interior.
+pub fn theorem2_max_residual(
     population: &ShardedPopulation,
-    bound: &BoundParams,
-    solution: &StageOneSolution,
-    sample: usize,
-    seed: u64,
-) -> Option<f64> {
-    theorem2_max_residual_view(&ShardView::of(population), bound, solution, sample, seed)
-}
-
-fn theorem2_max_residual_view(
-    view: &ShardView<'_>,
     bound: &BoundParams,
     solution: &StageOneSolution,
     sample: usize,
@@ -1291,7 +967,7 @@ fn theorem2_max_residual_view(
 ) -> Option<f64> {
     let target = 1.0 / solution.lambda?;
     let coef = 4.0 / bound.alpha_over_r();
-    let n = view.len().min(solution.q.len());
+    let n = population.len().min(solution.q.len());
     if n == 0 {
         return None;
     }
@@ -1299,7 +975,7 @@ fn theorem2_max_residual_view(
     let mut worst: Option<f64> = None;
     for _ in 0..sample {
         let i = (rand::Rng::random::<u64>(&mut rng) % n as u64) as usize;
-        let (cols, local) = view.locate(i);
+        let (cols, local) = population.locate(i);
         let q = solution.q[i];
         if q > Q_MIN * 1.01 && q < cols.q_max[local] * 0.999 {
             let invariant =
@@ -1317,79 +993,62 @@ fn theorem2_max_residual_view(
 /// quadratic-penalty projected-gradient method (the CVX substitute of
 /// DESIGN.md §3); the outer linear search scans
 /// `M ∈ [Σ c_n q_min², Σ c_n q_{n,max}²]` with `options.m_grid_steps` cells
-/// and refines the best cell by golden section.
-///
-/// # Errors
-///
-/// Returns [`GameError::SolverFailed`] if no feasible `M` exists (e.g. the
-/// budget cannot even cover the `q_min` floor).
-pub fn solve_m_search(
-    population: &Population,
-    bound: &BoundParams,
-    budget: f64,
-    options: &SolverOptions,
-) -> Result<StageOneSolution, GameError> {
-    validate_inputs(population, budget, options)?;
-    let cols = population.columns();
-    solve_m_search_view(&ShardView::single(&cols), bound, budget, options)
-}
-
-/// [`solve_m_search`] over shard column-sets: the P1″ inner loop's
+/// and refines the best cell by golden section. The inner loop's
 /// reductions and gradient fills run as the same two-level shard merge as
-/// the KKT solver, so the search is bit-identical to the flat
-/// [`solve_m_search`] over the concatenated population for any shard
-/// count.
+/// the KKT solver, so the search is bit-identical for any shard count.
 ///
 /// # Errors
 ///
-/// Same conditions as [`solve_m_search`].
-pub fn solve_m_search_sharded(
+/// Returns [`GameError`] for the inputs [`solve_kkt`] rejects and for
+/// `m_grid_steps < 2`, and [`GameError::SolverFailed`] if no feasible `M`
+/// exists (e.g. the budget cannot even cover the `q_min` floor).
+pub fn solve_m_search(
     population: &ShardedPopulation,
     bound: &BoundParams,
     budget: f64,
     options: &SolverOptions,
 ) -> Result<StageOneSolution, GameError> {
-    let view = ShardView::of(population);
-    validate_view(&view, budget, options)?;
+    validate(population, budget, options)?;
     if options.m_grid_steps < 2 {
         return Err(GameError::InvalidParameter {
             name: "m_grid_steps",
             reason: "need at least 2 grid steps".into(),
         });
     }
-    solve_m_search_view(&view, bound, budget, options)
-}
-
-fn solve_m_search_view(
-    view: &ShardView<'_>,
-    bound: &BoundParams,
-    budget: f64,
-    options: &SolverOptions,
-) -> Result<StageOneSolution, GameError> {
-    let n = view.len();
+    let n = population.len();
     let threads = options.config.n_threads;
     let aor = bound.alpha_over_r();
     // Precomputed intrinsic gains `K_n = v_n (α/R) a_n²G_n²`: every inner
-    // pass below is a shard-merged reduction or fill over the view's
-    // columns, so one PGD iteration strides each column once and allocates
-    // no per-client vectors.
+    // pass below is a shard-merged reduction or fill over the columns, so
+    // one PGD iteration strides each column once and allocates no
+    // per-client vectors.
     let mut gains = vec![0.0f64; n];
-    view.fill(&mut gains, threads, |cols, local_start, _offset, slice| {
-        for (k, g) in slice.iter_mut().enumerate() {
-            let i = local_start + k;
-            *g = cols.value[i] * aor * cols.a2g2[i];
-        }
-    });
+    shard_fill(
+        population,
+        &mut gains,
+        threads,
+        |cols, local_start, _offset, slice| {
+            for (k, g) in slice.iter_mut().enumerate() {
+                let i = local_start + k;
+                *g = cols.value[i] * aor * cols.a2g2[i];
+            }
+        },
+    );
     let lo: Vec<f64> = vec![options.q_min; n];
     let mut hi = vec![0.0f64; n];
-    view.fill(&mut hi, threads, |cols, local_start, _offset, slice| {
-        slice.copy_from_slice(&cols.q_max[local_start..local_start + slice.len()]);
-    });
+    shard_fill(
+        population,
+        &mut hi,
+        threads,
+        |cols, local_start, _offset, slice| {
+            slice.copy_from_slice(&cols.q_max[local_start..local_start + slice.len()]);
+        },
+    );
     let bounds_box = BoxConstraints::new(lo.clone(), hi.clone())?;
     // `M(q) = Σ c_n q_n²` and the realised spend, as shard-merged
     // reductions.
     let m_of = |q: &[f64]| {
-        view.sum(threads, |cols, range, offset| {
+        shard_sum(population, threads, |cols, range, offset| {
             let mut acc = 0.0;
             for i in range {
                 let qn = q[offset + i];
@@ -1398,9 +1057,9 @@ fn solve_m_search_view(
             acc
         })
     };
-    let spend_of = |q: &[f64]| profile_spend(view, aor, q, threads);
+    let spend_of = |q: &[f64]| profile_spend(population, aor, q, threads);
     let variance_of = |q: &[f64]| {
-        view.sum(threads, |cols, range, offset| {
+        shard_sum(population, threads, |cols, range, offset| {
             let mut acc = 0.0;
             for i in range {
                 acc += cols.a2g2[i] * (1.0 / q[offset + i] - 1.0);
@@ -1448,12 +1107,17 @@ fn solve_m_search_view(
                 ConstraintKind::Equality,
                 Box::new(|q: &[f64], g: &mut [f64]| {
                     let val = m_of(q) - m;
-                    view.fill(g, threads, |cols, local_start, offset, slice| {
-                        for (k, gi) in slice.iter_mut().enumerate() {
-                            let i = local_start + k;
-                            *gi = 2.0 * cols.cost[i] * q[offset + i] / m_scale;
-                        }
-                    });
+                    shard_fill(
+                        population,
+                        g,
+                        threads,
+                        |cols, local_start, offset, slice| {
+                            for (k, gi) in slice.iter_mut().enumerate() {
+                                let i = local_start + k;
+                                *gi = 2.0 * cols.cost[i] * q[offset + i] / m_scale;
+                            }
+                        },
+                    );
                     val / m_scale
                 }),
             ),
@@ -1461,13 +1125,18 @@ fn solve_m_search_view(
         let result = penalty_minimize(
             |q: &[f64], g: &mut [f64]| {
                 let val = variance_of(q);
-                view.fill(g, threads, |cols, local_start, offset, slice| {
-                    for (k, gi) in slice.iter_mut().enumerate() {
-                        let i = local_start + k;
-                        let qn = q[offset + i];
-                        *gi = -cols.a2g2[i] / (qn * qn);
-                    }
-                });
+                shard_fill(
+                    population,
+                    g,
+                    threads,
+                    |cols, local_start, offset, slice| {
+                        for (k, gi) in slice.iter_mut().enumerate() {
+                            let i = local_start + k;
+                            let qn = q[offset + i];
+                            *gi = -cols.a2g2[i] / (qn * qn);
+                        }
+                    },
+                );
                 val
             },
             &mut constraints,
@@ -1517,7 +1186,7 @@ fn solve_m_search_view(
         reason: "no feasible M found".into(),
     })?;
     let mut prices = vec![0.0f64; n];
-    fill_prices(view, aor, &q, &mut prices, threads);
+    fill_prices(population, aor, &q, &mut prices, threads);
     if let Some(bad) = prices.iter().position(|p| !p.is_finite()) {
         return Err(GameError::SolverFailed {
             solver: "m_search",
@@ -1538,6 +1207,7 @@ fn solve_m_search_view(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedfl_num::parallel::DEFAULT_CHUNK;
 
     fn population() -> Population {
         Population::builder()
@@ -1553,12 +1223,20 @@ mod tests {
         BoundParams::new(4000.0, 100.0, 1000).unwrap()
     }
 
+    /// Exact, cold solve of a flat population with default options.
+    fn solve(p: &Population, budget: f64) -> StageOneSolution {
+        let sharded = ShardedPopulation::from(p);
+        let options = SolverOptions::default();
+        solve_kkt(&KktRequest::new(&sharded, &bound(), budget, &options))
+            .unwrap()
+            .0
+    }
+
     #[test]
     fn kkt_budget_is_tight_in_the_interior() {
         let p = population();
-        let b = bound();
         let budget = 10.0;
-        let sol = solve_kkt(&p, &b, budget, &SolverOptions::default()).unwrap();
+        let sol = solve(&p, budget);
         assert!(!sol.saturated);
         assert!(
             (sol.spent - budget).abs() < 1e-6,
@@ -1571,9 +1249,7 @@ mod tests {
 
     #[test]
     fn kkt_saturates_with_huge_budget() {
-        let p = population();
-        let b = bound();
-        let sol = solve_kkt(&p, &b, 1e9, &SolverOptions::default()).unwrap();
+        let sol = solve(&population(), 1e9);
         assert!(sol.saturated);
         assert!(sol.q.iter().all(|&q| (q - 1.0).abs() < 1e-9));
         assert!(sol.spent < 1e9);
@@ -1581,11 +1257,9 @@ mod tests {
 
     #[test]
     fn kkt_floors_with_tiny_budget() {
-        let p = population();
-        let b = bound();
         // Spend at the floor is negative (clients with value pay in), so a
         // deeply negative budget cannot be met: solver floors everyone.
-        let sol = solve_kkt(&p, &b, -1e12, &SolverOptions::default()).unwrap();
+        let sol = solve(&population(), -1e12);
         assert!(sol.q.iter().all(|&q| q <= Q_MIN * 1.01));
     }
 
@@ -1594,8 +1268,8 @@ mod tests {
         // Proposition 1: both q* and P* increase in B.
         let p = population();
         let b = bound();
-        let small = solve_kkt(&p, &b, 4.0, &SolverOptions::default()).unwrap();
-        let large = solve_kkt(&p, &b, 16.0, &SolverOptions::default()).unwrap();
+        let small = solve(&p, 4.0);
+        let large = solve(&p, 16.0);
         for n in 0..p.len() {
             assert!(
                 large.q[n] >= small.q[n] - 1e-9,
@@ -1615,7 +1289,7 @@ mod tests {
     fn kkt_satisfies_theorem2_invariant_for_interior_clients() {
         let p = population();
         let b = bound();
-        let sol = solve_kkt(&p, &b, 10.0, &SolverOptions::default()).unwrap();
+        let sol = solve(&p, 10.0);
         // (4R/α) c q³ / (a²G²) + v must be constant over interior clients.
         let coef = 4.0 / b.alpha_over_r();
         let invariants: Vec<f64> = p
@@ -1639,7 +1313,7 @@ mod tests {
         use crate::response::best_response;
         let p = population();
         let b = bound();
-        let sol = solve_kkt(&p, &b, 10.0, &SolverOptions::default()).unwrap();
+        let sol = solve(&p, 10.0);
         for (n, c) in p.iter().enumerate() {
             let q_br = best_response(c, &b, sol.prices[n]).unwrap();
             // Floored clients may best-respond below the floor; others match.
@@ -1658,9 +1332,9 @@ mod tests {
         let p = population();
         let b = bound();
         let budget = 10.0;
-        let kkt = solve_kkt(&p, &b, budget, &SolverOptions::default()).unwrap();
+        let kkt = solve(&p, budget);
         let msearch = solve_m_search(
-            &p,
+            &ShardedPopulation::from(&p),
             &b,
             budget,
             &SolverOptions {
@@ -1682,39 +1356,124 @@ mod tests {
     }
 
     #[test]
-    fn solver_rejects_bad_inputs() {
-        let p = population();
+    fn solve_kkt_rejects_every_invalid_input() {
+        use crate::population::PopulationSpec;
+        // Two full chunks plus a tail: at three shards the last shard
+        // starts at global client 2·DEFAULT_CHUNK, so a bad client there
+        // must be reported under its global index.
+        let n = 2 * DEFAULT_CHUNK + 5;
+        let cols = Population::synthesize(n, &PopulationSpec::table1_like(), 3)
+            .unwrap()
+            .columns();
         let b = bound();
-        assert!(solve_kkt(&p, &b, f64::NAN, &SolverOptions::default()).is_err());
-        let bad = SolverOptions {
-            q_min: 0.0,
-            ..Default::default()
+        let valid = SolverOptions::default();
+        let knob = |set: fn(&mut SolverOptions)| {
+            let mut options = valid;
+            set(&mut options);
+            options
         };
-        assert!(solve_kkt(&p, &b, 10.0, &bad).is_err());
-        let bad = SolverOptions {
-            m_grid_steps: 1,
-            ..Default::default()
+        type Column = fn(&mut PopulationColumns) -> &mut Vec<f64>;
+        let (a2g2, cost): (Column, Column) = (|c| &mut c.a2g2, |c| &mut c.cost);
+        let (value, q_max): (Column, Column) = (|c| &mut c.value, |c| &mut c.q_max);
+        let bad_cells = [
+            (a2g2, f64::NAN),
+            (a2g2, f64::INFINITY),
+            (a2g2, 0.0),
+            (a2g2, -1.0),
+            (cost, f64::NAN),
+            (cost, f64::INFINITY),
+            (cost, 0.0),
+            (cost, -30.0),
+            (value, -1.0),
+            (value, f64::NAN),
+            (q_max, Q_MIN),
+            (q_max, Q_MIN / 2.0),
+            (q_max, f64::NAN),
+        ];
+        let reject = |population: &ShardedPopulation, budget: f64, options: &SolverOptions| {
+            let err = solve_kkt(&KktRequest::new(population, &b, budget, options))
+                .map(|_| ())
+                .unwrap_err();
+            // The M-search shares the validator.
+            assert!(solve_m_search(population, &b, budget, options).is_err());
+            err
         };
-        assert!(solve_m_search(&p, &b, 10.0, &bad).is_err());
+        let parameter = |err: GameError| match err {
+            GameError::InvalidParameter { name, reason } => (name, reason),
+            other => panic!("unexpected {other}"),
+        };
+        for shard_count in [1, 3] {
+            let population = ShardedPopulation::from_columns(&cols, shard_count).unwrap();
+            let budget = path_budget(&population, &b, &valid, 0.4);
+            // The valid inputs solve; `m_grid_steps` is the M-search's
+            // knob alone.
+            let one_step = SolverOptions {
+                m_grid_steps: 1,
+                ..valid
+            };
+            assert!(solve_kkt(&KktRequest::new(&population, &b, budget, &one_step)).is_ok());
+            for (budget, options, expected) in [
+                (f64::NAN, valid, "budget"),
+                (f64::INFINITY, valid, "budget"),
+                (f64::NEG_INFINITY, valid, "budget"),
+                (budget, knob(|o| o.q_min = 0.0), "q_min"),
+                (budget, knob(|o| o.q_min = 1.0), "q_min"),
+                (budget, knob(|o| o.q_min = f64::NAN), "q_min"),
+                (budget, knob(|o| o.config.tolerance = 0.0), "tolerance"),
+                (budget, knob(|o| o.config.tolerance = -1e-9), "tolerance"),
+                (budget, knob(|o| o.config.tolerance = f64::NAN), "tolerance"),
+                (budget, knob(|o| o.config.max_iters = 0), "max_iters"),
+            ] {
+                let (name, _) = parameter(reject(&population, budget, &options));
+                assert_eq!(name, expected, "shards {shard_count}");
+            }
+            let tail = population.shard_count() - 1;
+            let with_tail = |edit: &dyn Fn(&mut PopulationColumns)| {
+                let mut shards = population.shards().to_vec();
+                edit(&mut shards[tail]);
+                ShardedPopulation::from_parts(shards)
+            };
+            let global = format!("client {} ", population.offset(tail));
+            for (column, bad) in bad_cells {
+                let corrupted = with_tail(&|c| column(c)[0] = bad);
+                let (name, reason) = parameter(reject(&corrupted, budget, &valid));
+                assert_eq!(name, "columns");
+                assert!(reason.contains(&global), "shards {shard_count}: {reason}");
+            }
+            let mismatched = with_tail(&|c| {
+                c.cost.pop();
+            });
+            let err = reject(&mismatched, budget, &valid);
+            assert!(matches!(err, GameError::LengthMismatch { .. }), "{err}");
+            let empty = vec![PopulationColumns::default(); shard_count];
+            let (name, _) = parameter(reject(
+                &ShardedPopulation::from_parts(empty),
+                budget,
+                &valid,
+            ));
+            assert_eq!(name, "columns");
+        }
     }
 
     #[test]
     fn columns_solver_matches_population_solver_bitwise() {
+        // The copying and the zero-copy one-shard wraps solve alike.
         let p = population();
         let b = bound();
-        let from_population = solve_kkt(&p, &b, 10.0, &SolverOptions::default()).unwrap();
-        let from_columns =
-            solve_kkt_columns(&p.columns(), &b, 10.0, &SolverOptions::default()).unwrap();
+        let options = SolverOptions::default();
+        let from_population = solve(&p, 10.0);
+        let columns = ShardedPopulation::from(p.columns());
+        let (from_columns, _) = solve_kkt(&KktRequest::new(&columns, &b, 10.0, &options)).unwrap();
         assert_eq!(from_population, from_columns);
     }
 
     #[test]
     fn hinted_solver_is_bit_identical_and_skips_iterations() {
-        let p = population();
+        let p = ShardedPopulation::from(&population());
         let b = bound();
-        let cols = p.columns();
         let opts = SolverOptions::default();
-        let (cold, cold_diag) = solve_kkt_columns_hinted(&cols, &b, 10.0, &opts, None).unwrap();
+        let cold_request = KktRequest::new(&p, &b, 10.0, &opts);
+        let (cold, cold_diag) = solve_kkt(&cold_request).unwrap();
         for hint in [
             None,
             Some(cold_diag.t_star),
@@ -1724,7 +1483,11 @@ mod tests {
             Some(-1.0),
             Some(1e300),
         ] {
-            let (warm, diag) = solve_kkt_columns_hinted(&cols, &b, 10.0, &opts, hint).unwrap();
+            let (warm, diag) = solve_kkt(&KktRequest {
+                hint,
+                ..cold_request
+            })
+            .unwrap();
             assert_eq!(warm, cold, "hint {hint:?}");
             assert!(
                 diag.bisect_iterations <= cold_diag.bisect_iterations,
@@ -1733,37 +1496,17 @@ mod tests {
                 cold_diag.bisect_iterations
             );
         }
-        let (_, exact) =
-            solve_kkt_columns_hinted(&cols, &b, 10.0, &opts, Some(cold_diag.t_star)).unwrap();
+        let (_, exact) = solve_kkt(&KktRequest {
+            hint: Some(cold_diag.t_star),
+            ..cold_request
+        })
+        .unwrap();
         assert!(
             exact.warm_start_depth > 10,
             "depth {}",
             exact.warm_start_depth
         );
         assert!(exact.bisect_iterations < cold_diag.bisect_iterations / 2);
-    }
-
-    #[test]
-    fn columns_solver_validates_inputs() {
-        let p = population();
-        let b = bound();
-        let mut cols = p.columns();
-        cols.cost.pop();
-        assert!(solve_kkt_columns(&cols, &b, 10.0, &SolverOptions::default()).is_err());
-        let mut cols = p.columns();
-        cols.cost[1] = 0.0;
-        assert!(solve_kkt_columns(&cols, &b, 10.0, &SolverOptions::default()).is_err());
-        let mut cols = p.columns();
-        cols.q_max[0] = Q_MIN / 2.0;
-        assert!(solve_kkt_columns(&cols, &b, 10.0, &SolverOptions::default()).is_err());
-        let empty = PopulationColumns {
-            a2g2: vec![],
-            cost: vec![],
-            value: vec![],
-            q_max: vec![],
-        };
-        assert!(solve_kkt_columns(&empty, &b, 10.0, &SolverOptions::default()).is_err());
-        assert!(solve_kkt_columns(&p.columns(), &b, f64::NAN, &SolverOptions::default()).is_err());
     }
 
     #[test]
@@ -1776,14 +1519,13 @@ mod tests {
             value: ParamDist::Constant(0.0),
             ..PopulationSpec::table1_like()
         };
-        let p = Population::synthesize(500, &spec, 11).unwrap();
+        let p = ShardedPopulation::from(&Population::synthesize(500, &spec, 11).unwrap());
         let b = bound();
         let opts = SolverOptions::default();
         let budget = path_budget(&p, &b, &opts, 0.4);
-        let cols = p.columns();
-        let (_, diag) = solve_kkt_columns_hinted(&cols, &b, budget, &opts, None).unwrap();
+        let (_, diag) = solve_kkt(&KktRequest::new(&p, &b, budget, &opts)).unwrap();
         // Start the split from a deliberately wrong reference.
-        let estimate = estimate_path_parameter(&cols, &b, budget, diag.t_star * 3.0, 1).unwrap();
+        let estimate = estimate_path_parameter(&p, &b, budget, diag.t_star * 3.0, 1).unwrap();
         let rel = (estimate - diag.t_star).abs() / diag.t_star;
         assert!(
             rel < 0.05,
@@ -1791,25 +1533,14 @@ mod tests {
             diag.t_star
         );
         // Degenerate inputs give no estimate instead of nonsense.
-        assert_eq!(
-            estimate_path_parameter(&cols, &b, budget, f64::NAN, 1),
-            None
-        );
-        assert_eq!(estimate_path_parameter(&cols, &b, budget, -1.0, 1), None);
-        let empty = PopulationColumns {
-            a2g2: vec![],
-            cost: vec![],
-            value: vec![],
-            q_max: vec![],
-        };
+        assert_eq!(estimate_path_parameter(&p, &b, budget, f64::NAN, 1), None);
+        assert_eq!(estimate_path_parameter(&p, &b, budget, -1.0, 1), None);
+        let empty = ShardedPopulation::from(PopulationColumns::default());
         assert_eq!(estimate_path_parameter(&empty, &b, budget, 1.0, 1), None);
         // A budget below any interior spend (here: deeply negative, while
         // every client's saturated/zero-value spend is non-negative)
         // degenerates the model.
-        assert_eq!(
-            estimate_path_parameter(&cols, &b, -1e18, diag.t_star, 1),
-            None
-        );
+        assert_eq!(estimate_path_parameter(&p, &b, -1e18, diag.t_star, 1), None);
     }
 
     #[test]
@@ -1817,8 +1548,9 @@ mod tests {
         use crate::equilibrium::StackelbergEquilibrium;
         let p = population();
         let b = bound();
-        let sol = solve_kkt(&p, &b, 10.0, &SolverOptions::default()).unwrap();
-        let via_columns = theorem2_max_residual_columns(&p.columns(), &b, &sol, 100, 0).unwrap();
+        let sol = solve(&p, 10.0);
+        let via_columns =
+            theorem2_max_residual(&ShardedPopulation::from(&p), &b, &sol, 100, 0).unwrap();
         let se = StackelbergEquilibrium::from_stage_one(sol, &p, &b, 10.0);
         let via_equilibrium = se.theorem2_max_residual(&p, &b, 100, 0).unwrap();
         assert_eq!(via_columns.to_bits(), via_equilibrium.to_bits());
@@ -1828,45 +1560,50 @@ mod tests {
     #[test]
     fn sharded_solver_is_bit_identical_to_flat_for_any_shard_count() {
         use crate::population::PopulationSpec;
-        use fedfl_num::parallel::DEFAULT_CHUNK;
         // Enough clients for several chunks so shard boundaries genuinely
         // partition the reduction.
         let n = DEFAULT_CHUNK * 2 + 531;
         let p = Population::synthesize(n, &PopulationSpec::table1_like(), 5).unwrap();
         let b = bound();
-        let budget = path_budget(&p, &b, &SolverOptions::default(), 0.4);
         let cols = p.columns();
-        let flat = solve_kkt_columns(&cols, &b, budget, &SolverOptions::default()).unwrap();
+        let flat_population = ShardedPopulation::from(&p);
+        let default_options = SolverOptions::default();
+        let budget = path_budget(&flat_population, &b, &default_options, 0.4);
+        let (flat, _) = solve_kkt(&KktRequest::new(
+            &flat_population,
+            &b,
+            budget,
+            &default_options,
+        ))
+        .unwrap();
+        let t_star = 1.0 / flat.lambda.unwrap();
+        let flat_res = theorem2_max_residual(&flat_population, &b, &flat, 256, 3).unwrap();
+        let flat_est = estimate_path_parameter(&flat_population, &b, budget, t_star * 2.0, 1);
         for shard_count in [1, 2, 7, 32] {
             let sharded = ShardedPopulation::from_columns(&cols, shard_count).unwrap();
             assert_eq!(
-                path_budget_sharded(&sharded, &b, &SolverOptions::default(), 0.4).to_bits(),
+                path_budget(&sharded, &b, &default_options, 0.4).to_bits(),
                 budget.to_bits(),
                 "path budget drifted at shard_count {shard_count}"
             );
             for threads in [1, 3] {
                 let opts = SolverOptions::with_threads(threads);
-                let sol = solve_kkt_sharded(&sharded, &b, budget, &opts).unwrap();
+                let request = KktRequest::new(&sharded, &b, budget, &opts);
+                let (sol, _) = solve_kkt(&request).unwrap();
                 assert_eq!(sol, flat, "shard_count {shard_count} threads {threads}");
-                let (hinted, diag) = solve_kkt_sharded_hinted(
-                    &sharded,
-                    &b,
-                    budget,
-                    &opts,
-                    Some(flat.lambda.map(|l| 1.0 / l).unwrap()),
-                )
+                let (hinted, diag) = solve_kkt(&KktRequest {
+                    hint: Some(t_star),
+                    ..request
+                })
                 .unwrap();
                 assert_eq!(hinted, flat, "hinted shard_count {shard_count}");
                 assert!(diag.warm_start_depth > 0, "exact hint should verify deep");
             }
             // The sampled Theorem 2 check and the hint estimator agree
-            // with their flat counterparts bit for bit.
-            let flat_res = theorem2_max_residual_columns(&cols, &b, &flat, 256, 3).unwrap();
-            let shard_res = theorem2_max_residual_sharded(&sharded, &b, &flat, 256, 3).unwrap();
+            // with their one-shard counterparts bit for bit.
+            let shard_res = theorem2_max_residual(&sharded, &b, &flat, 256, 3).unwrap();
             assert_eq!(flat_res.to_bits(), shard_res.to_bits());
-            let t_star = 1.0 / flat.lambda.unwrap();
-            let flat_est = estimate_path_parameter(&cols, &b, budget, t_star * 2.0, 1);
-            let shard_est = estimate_path_parameter_sharded(&sharded, &b, budget, t_star * 2.0, 1);
+            let shard_est = estimate_path_parameter(&sharded, &b, budget, t_star * 2.0, 1);
             assert_eq!(
                 flat_est.map(f64::to_bits),
                 shard_est.map(f64::to_bits),
@@ -1879,17 +1616,17 @@ mod tests {
     fn sharded_m_search_matches_flat() {
         let p = population();
         let b = bound();
-        let flat = solve_m_search(&p, &b, 10.0, &SolverOptions::default()).unwrap();
-        let sharded = ShardedPopulation::from(&p);
-        let via_shards =
-            solve_m_search_sharded(&sharded, &b, 10.0, &SolverOptions::default()).unwrap();
+        let options = SolverOptions::default();
+        let flat = solve_m_search(&ShardedPopulation::from(&p), &b, 10.0, &options).unwrap();
+        let sharded = ShardedPopulation::from_columns(&p.columns(), 3).unwrap();
+        let via_shards = solve_m_search(&sharded, &b, 10.0, &options).unwrap();
         assert_eq!(via_shards, flat);
         let bad = SolverOptions {
             m_grid_steps: 1,
             ..Default::default()
         };
-        assert!(solve_m_search_sharded(&sharded, &b, 10.0, &bad).is_err());
-        assert!(solve_m_search_sharded(&sharded, &b, f64::NAN, &SolverOptions::default()).is_err());
+        assert!(solve_m_search(&sharded, &b, 10.0, &bad).is_err());
+        assert!(solve_m_search(&sharded, &b, f64::NAN, &options).is_err());
     }
 
     #[test]
@@ -1901,8 +1638,7 @@ mod tests {
             .values(vec![10.0])
             .build()
             .unwrap();
-        let b = bound();
-        let sol = solve_kkt(&p, &b, 20.0, &SolverOptions::default()).unwrap();
+        let sol = solve(&p, 20.0);
         assert_eq!(sol.q.len(), 1);
         assert!(sol.q[0] > 0.0 && sol.q[0] <= 1.0);
         assert!(sol.spent <= 20.0 + 1e-6);
@@ -1919,8 +1655,7 @@ mod tests {
             .values(vec![10.0, 10.0])
             .build()
             .unwrap();
-        let b = bound();
-        let sol = solve_kkt(&p, &b, 25.0, &SolverOptions::default()).unwrap();
+        let sol = solve(&p, 25.0);
         assert!(!sol.saturated);
         assert!(
             sol.prices[1] > sol.prices[0],

@@ -7,10 +7,11 @@
 //! the sharded solve *exact*: each shard's partial spend is a vector of
 //! per-chunk partial sums, and merging all shards' partials **in shard
 //! order** reproduces the flat reduction's summation tree bit for bit
-//! ([`fedfl_num::parallel::merge_shard_partials`]). The sharded
-//! [`crate::server::solve_kkt_sharded`] is therefore bit-identical to the
-//! flat [`crate::server::solve_kkt_columns`] over the concatenated
-//! columns, for any shard count and any thread count.
+//! ([`fedfl_num::parallel::merge_shard_partials`]). Every Stage-I solver
+//! in [`crate::server`] ([`crate::server::solve_kkt`] and its helpers)
+//! takes a sharded population, and its result is bit-identical to the
+//! one-shard solve over the concatenated columns, for any shard count and
+//! any thread count.
 //!
 //! Shards are also the unit of independent *materialisation*:
 //! [`ShardedPopulation::synthesize`] draws each shard from
@@ -46,18 +47,7 @@ impl ShardedPopulation {
     /// Returns [`GameError::InvalidParameter`] for `shard_count == 0` and
     /// [`GameError::LengthMismatch`] for internally inconsistent columns.
     pub fn from_columns(cols: &PopulationColumns, shard_count: usize) -> Result<Self, GameError> {
-        for (len, _name) in [
-            (cols.cost.len(), "cost"),
-            (cols.value.len(), "value"),
-            (cols.q_max.len(), "q_max"),
-        ] {
-            if len != cols.a2g2.len() {
-                return Err(GameError::LengthMismatch {
-                    expected: cols.a2g2.len(),
-                    found: len,
-                });
-            }
-        }
+        cols.check_lengths()?;
         let plan =
             ShardPlan::new(cols.len(), shard_count).map_err(|e| GameError::InvalidParameter {
                 name: "shard_count",
@@ -94,18 +84,7 @@ impl ShardedPopulation {
             });
         }
         for (s, shard) in shards.iter().enumerate() {
-            for (len, _name) in [
-                (shard.cost.len(), "cost"),
-                (shard.value.len(), "value"),
-                (shard.q_max.len(), "q_max"),
-            ] {
-                if len != shard.a2g2.len() {
-                    return Err(GameError::LengthMismatch {
-                        expected: shard.a2g2.len(),
-                        found: len,
-                    });
-                }
-            }
+            shard.check_lengths()?;
             let followed_by_nonempty = shards[s + 1..].iter().any(|t| !t.is_empty());
             if followed_by_nonempty && shard.len() % DEFAULT_CHUNK != 0 {
                 return Err(GameError::InvalidParameter {
@@ -121,7 +100,10 @@ impl ShardedPopulation {
         Ok(Self::from_parts(shards))
     }
 
-    fn from_parts(shards: Vec<PopulationColumns>) -> Self {
+    /// Assemble without the alignment and length checks of
+    /// [`Self::from_shards`] (the solvers' input validation still
+    /// rejects mismatched columns).
+    pub(crate) fn from_parts(shards: Vec<PopulationColumns>) -> Self {
         let mut offsets = Vec::with_capacity(shards.len() + 1);
         let mut total = 0usize;
         offsets.push(0);
@@ -237,6 +219,16 @@ impl ShardedPopulation {
         self.offsets[s]
     }
 
+    /// The shard holding global client `i`, and `i`'s index within it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    pub(crate) fn locate(&self, i: usize) -> (&PopulationColumns, usize) {
+        let s = self.offsets.partition_point(|&o| o <= i) - 1;
+        (&self.shards[s], i - self.offsets[s])
+    }
+
     /// Concatenate the shards into flat columns (the global order).
     pub fn concat(&self) -> PopulationColumns {
         let n = self.len();
@@ -283,6 +275,13 @@ impl From<&Population> for ShardedPopulation {
     /// A single-shard view of a population's columns.
     fn from(population: &Population) -> Self {
         Self::from_parts(vec![population.columns()])
+    }
+}
+
+impl From<PopulationColumns> for ShardedPopulation {
+    /// Flat columns as a single shard, without copying them.
+    fn from(columns: PopulationColumns) -> Self {
+        Self::from_parts(vec![columns])
     }
 }
 

@@ -207,7 +207,8 @@ mod tests {
     use super::*;
     use crate::population::ClientProfile;
     use crate::response::{best_response, inverse_price};
-    use crate::server::solve_kkt;
+    use crate::server::{solve_kkt, KktRequest};
+    use crate::shard::ShardedPopulation;
 
     fn client(cost: f64, value: f64) -> ClientProfile {
         ClientProfile {
@@ -263,7 +264,9 @@ mod tests {
         let p = population();
         let b = bound();
         let sol_tau = solve_kkt_tau(&p, &b, 10.0, &SolverOptions::default(), 2.0).unwrap();
-        let sol = solve_kkt(&p, &b, 10.0, &SolverOptions::default()).unwrap();
+        let p_sharded = ShardedPopulation::from(&p);
+        let options = SolverOptions::default();
+        let (sol, _) = solve_kkt(&KktRequest::new(&p_sharded, &b, 10.0, &options)).unwrap();
         for (a, c) in sol_tau.q.iter().zip(&sol.q) {
             assert!((a - c).abs() < 1e-7, "{:?} vs {:?}", sol_tau.q, sol.q);
         }

@@ -16,18 +16,47 @@
 //! proptest population variants of `scale_properties`, and the
 //! heavy-tail Pareto spreads of `heavy_tail`.
 
-use fedfl_core::active_set::{ActiveSetIndex, IndexColumns};
+use fedfl_core::active_set::{chunk_keys, ActiveSetIndex, IndexColumns};
 use fedfl_core::bound::BoundParams;
-use fedfl_core::population::{ParamDist, Population, PopulationSpec};
+use fedfl_core::population::{ParamDist, Population, PopulationColumns, PopulationSpec};
 use fedfl_core::server::{
-    path_budget, solve_kkt_columns_fast, solve_kkt_columns_hinted, solve_kkt_sharded_fast,
-    solve_kkt_sharded_fast_with_index, theorem2_max_residual_columns, SolverMode, SolverOptions,
+    path_budget, solve_kkt, theorem2_max_residual, KktDiagnostics, KktRequest, SolverMode,
+    SolverOptions, StageOneSolution,
 };
 use fedfl_core::shard::ShardedPopulation;
 use proptest::prelude::*;
 
 fn bound() -> BoundParams {
     BoundParams::new(4_000.0, 100.0, 1_000).unwrap()
+}
+
+/// The chunk-keyed threshold index of normalised columns.
+fn chunk_index(cols: &PopulationColumns, options: &SolverOptions) -> ActiveSetIndex {
+    let (keys, segments) = chunk_keys(cols.len());
+    ActiveSetIndex::build_keyed(
+        &IndexColumns::from_population(cols),
+        &keys,
+        segments,
+        bound().alpha_over_r(),
+        options.q_min,
+        1.0,
+        options.config.n_threads,
+    )
+}
+
+/// Solve `population` exactly (`index: None`) or on the fast path.
+fn solve(
+    population: &ShardedPopulation,
+    budget: f64,
+    options: &SolverOptions,
+    index: Option<&ActiveSetIndex>,
+) -> (StageOneSolution, KktDiagnostics) {
+    let b = bound();
+    solve_kkt(&KktRequest {
+        index,
+        ..KktRequest::new(population, &b, budget, options)
+    })
+    .unwrap()
 }
 
 fn spec_for(variant: u8) -> PopulationSpec {
@@ -63,8 +92,10 @@ fn spec_for(variant: u8) -> PopulationSpec {
 fn assert_fast_agrees(p: &Population, budget: f64, options: &SolverOptions) -> SolverMode {
     let b = bound();
     let cols = p.columns();
-    let (exact, exact_diag) = solve_kkt_columns_hinted(&cols, &b, budget, options, None).unwrap();
-    let (fast, diag) = solve_kkt_columns_fast(&cols, &b, budget, options).unwrap();
+    let index = chunk_index(&cols, options);
+    let population = ShardedPopulation::from(cols);
+    let (exact, exact_diag) = solve(&population, budget, options, None);
+    let (fast, diag) = solve(&population, budget, options, Some(&index));
     match diag.solver_mode {
         SolverMode::ThresholdIndex => {
             assert_eq!(fast.saturated, exact.saturated, "saturation flag diverged");
@@ -89,7 +120,7 @@ fn assert_fast_agrees(p: &Population, budget: f64, options: &SolverOptions) -> S
                 fast.spent,
                 exact.spent
             );
-            if let Some(residual) = theorem2_max_residual_columns(&cols, &b, &fast, 2_048, 7) {
+            if let Some(residual) = theorem2_max_residual(&population, &b, &fast, 2_048, 7) {
                 assert!(residual <= 1e-6, "fast Theorem-2 residual {residual:e}");
             }
         }
@@ -111,10 +142,12 @@ fn certified_fast_solves_agree_across_shards_and_threads() {
     let p = Population::synthesize(n, &PopulationSpec::table1_like(), 5).unwrap();
     let b = bound();
     let options = SolverOptions::with_threads(1);
-    let budget = path_budget(&p, &b, &options, 0.4);
     let cols = p.columns();
-    let (exact, _) = solve_kkt_columns_hinted(&cols, &b, budget, &options, None).unwrap();
-    let (flat_fast, flat_diag) = solve_kkt_columns_fast(&cols, &b, budget, &options).unwrap();
+    let flat = ShardedPopulation::from(&p);
+    let budget = path_budget(&flat, &b, &options, 0.4);
+    let (exact, _) = solve(&flat, budget, &options, None);
+    let (flat_fast, flat_diag) =
+        solve(&flat, budget, &options, Some(&chunk_index(&cols, &options)));
     assert_eq!(
         flat_diag.solver_mode,
         SolverMode::ThresholdIndex,
@@ -124,9 +157,10 @@ fn certified_fast_solves_agree_across_shards_and_threads() {
         let sharded = ShardedPopulation::from_columns(&cols, shard_count).unwrap();
         for threads in [1usize, 3] {
             let opts = SolverOptions::with_threads(threads);
-            let (fast, diag) = solve_kkt_sharded_fast(&sharded, &b, budget, &opts).unwrap();
+            let index = chunk_index(&sharded.concat(), &opts);
+            let (fast, diag) = solve(&sharded, budget, &opts, Some(&index));
             assert_eq!(diag.solver_mode, SolverMode::ThresholdIndex);
-            // The sharded index build is bit-identical to the flat one and
+            // The chunk-keyed index is shard- and thread-invariant and
             // probes/materialisation share the exact solver's shard-merge
             // contract, so the fast solve itself is shard- and
             // thread-invariant bit for bit.
@@ -150,25 +184,20 @@ fn reused_index_solves_match_and_hint_cuts_iterations() {
     let p = Population::synthesize(4_000, &PopulationSpec::table1_like(), 9).unwrap();
     let b = bound();
     let options = SolverOptions::default();
-    let budget = path_budget(&p, &b, &options, 0.5);
     let cols = p.columns();
     let sharded = ShardedPopulation::from_columns(&cols, 4).unwrap();
-    let index = ActiveSetIndex::build_sharded(sharded.shards(), b.alpha_over_r(), options.q_min);
-    let (cold, cold_diag) =
-        solve_kkt_sharded_fast_with_index(&sharded, &b, budget, &options, &index, None).unwrap();
+    let budget = path_budget(&sharded, &b, &options, 0.5);
+    let index = chunk_index(&cols, &options);
+    let cold_request = KktRequest {
+        index: Some(&index),
+        ..KktRequest::new(&sharded, &b, budget, &options)
+    };
+    let (cold, cold_diag) = solve_kkt(&cold_request).unwrap();
     assert_eq!(cold_diag.solver_mode, SolverMode::ThresholdIndex);
-    assert_eq!(
-        cold_diag.index_rebuild_ns, 0,
-        "reused index reports no rebuild"
-    );
-    let (warm, warm_diag) = solve_kkt_sharded_fast_with_index(
-        &sharded,
-        &b,
-        budget,
-        &options,
-        &index,
-        Some(cold_diag.t_star),
-    )
+    let (warm, warm_diag) = solve_kkt(&KktRequest {
+        hint: Some(cold_diag.t_star),
+        ..cold_request
+    })
     .unwrap();
     assert_eq!(warm_diag.solver_mode, SolverMode::ThresholdIndex);
     assert_eq!(warm, cold, "hinted fast solve changed bits");
@@ -181,12 +210,9 @@ fn reused_index_solves_match_and_hint_cuts_iterations() {
     // A stale index (wrong population) is detected, not trusted.
     let other = Population::synthesize(4_001, &PopulationSpec::table1_like(), 10).unwrap();
     let other_sharded = ShardedPopulation::from_columns(&other.columns(), 4).unwrap();
-    let (fb, fb_diag) =
-        solve_kkt_sharded_fast_with_index(&other_sharded, &b, budget, &options, &index, None)
-            .unwrap();
+    let (fb, fb_diag) = solve(&other_sharded, budget, &options, Some(&index));
     assert_eq!(fb_diag.solver_mode, SolverMode::ThresholdIndexFallback);
-    let (exact_other, _) =
-        solve_kkt_columns_hinted(&other.columns(), &b, budget, &options, None).unwrap();
+    let (exact_other, _) = solve(&ShardedPopulation::from(&other), budget, &options, None);
     assert_eq!(fb, exact_other);
 }
 
@@ -196,10 +222,11 @@ fn fast_probes_are_sublinear_on_moderate_instances() {
     let p = Population::synthesize(n, &PopulationSpec::table1_like(), 2023).unwrap();
     let b = bound();
     let options = SolverOptions::default();
-    let budget = path_budget(&p, &b, &options, 0.5);
-    let cols = p.columns();
-    let (_, exact_diag) = solve_kkt_columns_hinted(&cols, &b, budget, &options, None).unwrap();
-    let (_, fast_diag) = solve_kkt_columns_fast(&cols, &b, budget, &options).unwrap();
+    let index = chunk_index(&p.columns(), &options);
+    let population = ShardedPopulation::from(&p);
+    let budget = path_budget(&population, &b, &options, 0.5);
+    let (_, exact_diag) = solve(&population, budget, &options, None);
+    let (_, fast_diag) = solve(&population, budget, &options, Some(&index));
     assert_eq!(fast_diag.solver_mode, SolverMode::ThresholdIndex);
     assert!(
         fast_diag.probe_evaluations * 10 <= exact_diag.probe_evaluations,
@@ -223,7 +250,7 @@ fn extreme_spread_population_stays_correct() {
         .unwrap();
     let options = SolverOptions::default();
     for frac in [1e-60, 1e-9, 0.5] {
-        let budget = path_budget(&p, &bound(), &options, frac);
+        let budget = path_budget(&ShardedPopulation::from(&p), &bound(), &options, frac);
         assert_fast_agrees(&p, budget, &options);
     }
 }
@@ -248,7 +275,7 @@ fn pareto_spread_fast_solves_respect_the_contract() {
     let p = Population::synthesize(2_000, &spec, 11).unwrap();
     let options = SolverOptions::default();
     for frac in [1e-9, 1e-3, 0.3, 0.9] {
-        let budget = path_budget(&p, &bound(), &options, frac);
+        let budget = path_budget(&ShardedPopulation::from(&p), &bound(), &options, frac);
         assert_fast_agrees(&p, budget, &options);
     }
 }
@@ -258,19 +285,20 @@ fn corner_budgets_classify_identically() {
     let p = Population::synthesize(600, &PopulationSpec::table1_like(), 4).unwrap();
     let b = bound();
     let options = SolverOptions::default();
-    let cols = p.columns();
+    let index = chunk_index(&p.columns(), &options);
+    let population = ShardedPopulation::from(&p);
     // Saturated: budget above the all-caps spend.
-    let generous = path_budget(&p, &b, &options, 1.0) * 2.0;
-    let (fast, diag) = solve_kkt_columns_fast(&cols, &b, generous, &options).unwrap();
-    let (exact, _) = solve_kkt_columns_hinted(&cols, &b, generous, &options, None).unwrap();
+    let generous = path_budget(&population, &b, &options, 1.0) * 2.0;
+    let (fast, diag) = solve(&population, generous, &options, Some(&index));
+    let (exact, _) = solve(&population, generous, &options, None);
     assert!(fast.saturated);
     assert_eq!(fast.q, exact.q, "saturated profile must match exactly");
     assert_eq!(diag.bisect_iterations, 0);
     // Floored: budget below the floor spend (negative here — values make
     // the floor spend negative-capable, so go far below).
     let stingy = -1e12;
-    let (fast, _) = solve_kkt_columns_fast(&cols, &b, stingy, &options).unwrap();
-    let (exact, _) = solve_kkt_columns_hinted(&cols, &b, stingy, &options, None).unwrap();
+    let (fast, _) = solve(&population, stingy, &options, Some(&index));
+    let (exact, _) = solve(&population, stingy, &options, None);
     assert_eq!(fast.q, exact.q, "floored profile must match exactly");
     assert!(!fast.saturated);
 }
@@ -359,7 +387,7 @@ proptest! {
     ) {
         let p = Population::synthesize(n, &spec_for(variant), seed).unwrap();
         let options = SolverOptions::with_threads(threads);
-        let budget = path_budget(&p, &bound(), &options, frac);
+        let budget = path_budget(&ShardedPopulation::from(&p), &bound(), &options, frac);
         assert_fast_agrees(&p, budget, &options);
     }
 

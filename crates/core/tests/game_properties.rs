@@ -6,7 +6,8 @@ use fedfl_core::bound::BoundParams;
 use fedfl_core::population::{Population, Q_MIN};
 use fedfl_core::pricing::PricingScheme;
 use fedfl_core::response::{best_response, inverse_price, own_utility};
-use fedfl_core::server::{solve_kkt, SolverOptions};
+use fedfl_core::server::{solve_kkt, KktRequest, SolverOptions};
+use fedfl_core::shard::ShardedPopulation;
 use proptest::prelude::*;
 
 /// Strategy: a small random population with normalised weights.
@@ -80,14 +81,15 @@ proptest! {
         budget in 0.1f64..100.0,
     ) {
         let options = SolverOptions::default();
-        let sol = solve_kkt(&population, &bound, budget, &options).unwrap();
+        let sharded = ShardedPopulation::from(&population);
+        let (sol, _) = solve_kkt(&KktRequest::new(&sharded, &bound, budget, &options)).unwrap();
         // Feasibility.
         prop_assert!(sol.spent <= budget + 1e-6 * budget.abs().max(1.0));
         for (c, &q) in population.iter().zip(&sol.q) {
             prop_assert!(q >= options.q_min - 1e-12 && q <= c.q_max + 1e-12);
         }
         // Proposition 1: more budget never hurts any client's q.
-        let bigger = solve_kkt(&population, &bound, budget * 1.5, &options).unwrap();
+        let (bigger, _) = solve_kkt(&KktRequest::new(&sharded, &bound, budget * 1.5, &options)).unwrap();
         for (a, b) in sol.q.iter().zip(&bigger.q) {
             prop_assert!(*b >= a - 1e-9);
         }
@@ -104,7 +106,8 @@ proptest! {
         budget in 0.5f64..50.0,
     ) {
         let options = SolverOptions::default();
-        let sol = solve_kkt(&population, &bound, budget, &options).unwrap();
+        let sharded = ShardedPopulation::from(&population);
+        let (sol, _) = solve_kkt(&KktRequest::new(&sharded, &bound, budget, &options)).unwrap();
         for (n, c) in population.iter().enumerate() {
             if sol.q[n] > Q_MIN * 1.01 {
                 let br = best_response(c, &bound, sol.prices[n]).unwrap();
@@ -150,7 +153,8 @@ proptest! {
         budget in 1.0f64..30.0,
     ) {
         let options = SolverOptions::default();
-        let sol = solve_kkt(&population, &bound, budget, &options).unwrap();
+        let sharded = ShardedPopulation::from(&population);
+        let (sol, _) = solve_kkt(&KktRequest::new(&sharded, &bound, budget, &options)).unwrap();
         if sol.saturated {
             return Ok(());
         }

@@ -11,10 +11,29 @@
 
 use fedfl_core::bound::BoundParams;
 use fedfl_core::population::{ParamDist, Population, PopulationSpec};
-use fedfl_core::server::{path_budget, solve_kkt_columns_hinted, SolverConfig, SolverOptions};
+use fedfl_core::server::{
+    path_budget, solve_kkt, KktDiagnostics, KktRequest, SolverConfig, SolverOptions,
+    StageOneSolution,
+};
+use fedfl_core::shard::ShardedPopulation;
 
 fn bound() -> BoundParams {
     BoundParams::new(4_000.0, 100.0, 1_000).unwrap()
+}
+
+/// Exact solve of `population` from an optional warm-start hint.
+fn solve(
+    population: &ShardedPopulation,
+    budget: f64,
+    options: &SolverOptions,
+    hint: Option<f64>,
+) -> (StageOneSolution, KktDiagnostics) {
+    let b = bound();
+    solve_kkt(&KktRequest {
+        hint,
+        ..KktRequest::new(population, &b, budget, options)
+    })
+    .unwrap()
 }
 
 /// One cheap heavy client plus expensive feather-weight clients: the
@@ -36,9 +55,9 @@ fn resolution_stop_not_the_cap_terminates_on_extreme_cost_spreads() {
     let b = bound();
     let opts = SolverOptions::default();
     // A budget whose root lies ~60 decades below the saturation parameter.
-    let budget = path_budget(&p, &b, &opts, 1e-60);
-    let cols = p.columns();
-    let (cold, diag) = solve_kkt_columns_hinted(&cols, &b, budget, &opts, None).unwrap();
+    let cols = ShardedPopulation::from(&p);
+    let budget = path_budget(&cols, &b, &opts, 1e-60);
+    let (cold, diag) = solve(&cols, budget, &opts, None);
     assert!(
         diag.bisect_iterations < opts.config.max_iters,
         "cold bisection cap-terminated: {} iterations at the {} cap",
@@ -69,7 +88,7 @@ fn resolution_stop_not_the_cap_terminates_on_extreme_cost_spreads() {
         1e-30,
         f64::MIN_POSITIVE,
     ] {
-        let (warm, wd) = solve_kkt_columns_hinted(&cols, &b, budget, &opts, Some(hint)).unwrap();
+        let (warm, wd) = solve(&cols, budget, &opts, Some(hint));
         assert_eq!(warm, cold, "hint {hint:e} diverged");
         assert!(
             wd.bisect_iterations <= diag.bisect_iterations,
@@ -100,15 +119,15 @@ fn f64_resolution_stop_terminates_below_any_tolerance() {
         },
         ..SolverOptions::default()
     };
-    let budget = path_budget(&p, &b, &opts, 1e-60);
-    let cols = p.columns();
-    let (cold, diag) = solve_kkt_columns_hinted(&cols, &b, budget, &opts, None).unwrap();
+    let cols = ShardedPopulation::from(&p);
+    let budget = path_budget(&cols, &b, &opts, 1e-60);
+    let (cold, diag) = solve(&cols, budget, &opts, None);
     assert!(
         diag.bisect_iterations < opts.config.max_iters,
         "resolution stop never fired: {} iterations",
         diag.bisect_iterations
     );
-    let (warm, wd) = solve_kkt_columns_hinted(&cols, &b, budget, &opts, Some(diag.t_star)).unwrap();
+    let (warm, wd) = solve(&cols, budget, &opts, Some(diag.t_star));
     assert_eq!(warm, cold);
     assert!(wd.warm_start_depth > 100, "depth {}", wd.warm_start_depth);
     assert!(wd.bisect_iterations + wd.warm_start_depth < opts.config.max_iters);
@@ -138,17 +157,15 @@ fn pareto_cost_spread_churns_stay_bit_identical_under_hints() {
     let b = bound();
     let opts = SolverOptions::default();
     for frac in [1e-9, 1e-3, 0.3, 0.9] {
-        let budget = path_budget(&p, &b, &opts, frac);
-        let cols = p.columns();
-        let (cold, diag) = solve_kkt_columns_hinted(&cols, &b, budget, &opts, None).unwrap();
+        let cols = ShardedPopulation::from(&p);
+        let budget = path_budget(&cols, &b, &opts, frac);
+        let (cold, diag) = solve(&cols, budget, &opts, None);
         assert!(
             diag.bisect_iterations < opts.config.max_iters,
             "frac {frac}"
         );
         for factor in [1.0, 1.001, 0.5, 2.0, 1e-6, 1e6, 1e-12] {
-            let (warm, wd) =
-                solve_kkt_columns_hinted(&cols, &b, budget, &opts, Some(diag.t_star * factor))
-                    .unwrap();
+            let (warm, wd) = solve(&cols, budget, &opts, Some(diag.t_star * factor));
             assert_eq!(warm, cold, "frac {frac} factor {factor}");
             assert!(
                 wd.bisect_iterations <= diag.bisect_iterations,

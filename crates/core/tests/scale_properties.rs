@@ -16,18 +16,33 @@
 //! `cargo test --release -- --ignored` job; each asserts a wall-clock
 //! budget so a performance regression fails the build.
 
+use fedfl_core::active_set::{chunk_keys, ActiveSetIndex, IndexColumns};
 use fedfl_core::bound::BoundParams;
 use fedfl_core::game::CplGame;
 use fedfl_core::population::{ParamDist, Population, PopulationSpec, Q_MIN};
 use fedfl_core::server::{
-    path_budget, solve_kkt, solve_kkt_columns_fast, solve_kkt_columns_hinted, solve_m_search,
-    SolverMode, SolverOptions,
+    path_budget, solve_kkt, solve_m_search, theorem2_max_residual, KktRequest, SolverMode,
+    SolverOptions, StageOneSolution,
 };
+use fedfl_core::shard::ShardedPopulation;
 use proptest::prelude::*;
 use std::time::Instant;
 
 fn bound() -> BoundParams {
     BoundParams::new(4_000.0, 100.0, 1_000).unwrap()
+}
+
+/// Exact KKT solve of a flat population.
+fn solve(p: &Population, budget: f64, options: &SolverOptions) -> StageOneSolution {
+    let population = ShardedPopulation::from(p);
+    solve_kkt(&KktRequest::new(&population, &bound(), budget, options))
+        .expect("solve")
+        .0
+}
+
+/// The path budget at `frac` of a flat population.
+fn budget_at(p: &Population, options: &SolverOptions, frac: f64) -> f64 {
+    path_budget(&ShardedPopulation::from(p), &bound(), options, frac)
 }
 
 fn spec_for(variant: u8) -> PopulationSpec {
@@ -67,13 +82,12 @@ fn assert_scale_invariants(n: usize, seed: u64, variant: u8, frac: f64) {
     let p = Population::synthesize(n, &spec, seed).expect("synthesize");
     let b = bound();
     let sequential = SolverOptions::with_threads(1);
-    let budget = path_budget(&p, &b, &sequential, frac);
+    let budget = budget_at(&p, &sequential, frac);
 
     // Parallel path must equal the sequential path exactly.
-    let sol = solve_kkt(&p, &b, budget, &sequential).expect("solve");
+    let sol = solve(&p, budget, &sequential);
     for threads in [2, 4] {
-        let par = solve_kkt(&p, &b, budget, &SolverOptions::with_threads(threads))
-            .expect("parallel solve");
+        let par = solve(&p, budget, &SolverOptions::with_threads(threads));
         assert_eq!(sol, par, "n={n} seed={seed}: thread count changed bits");
     }
 
@@ -165,16 +179,16 @@ proptest! {
             m_grid_steps: 40,
             ..SolverOptions::with_threads(1)
         };
-        let budget = path_budget(&p, &b, &options, frac);
-        let kkt = solve_kkt(&p, &b, budget, &options).expect("kkt");
-        let msearch = solve_m_search(&p, &b, budget, &options).expect("m-search");
+        let budget = budget_at(&p, &options, frac);
+        let kkt = solve(&p, budget, &options);
+        let msearch = solve_m_search(&ShardedPopulation::from(&p), &b, budget, &options).expect("m-search");
         let v_kkt = b.variance_term(&p, &kkt.q);
         let v_m = b.variance_term(&p, &msearch.q);
         // The M-search's penalty method may overspend within its 1e-3
         // feasibility slack, which can nominally "beat" the KKT value at
         // the smaller budget. The sound optimality check is against the
         // KKT optimum at the spend the M-search actually realised.
-        let kkt_realized = solve_kkt(&p, &b, msearch.spent, &options).expect("kkt at spend");
+        let kkt_realized = solve(&p, msearch.spent, &options);
         let v_kkt_realized = b.variance_term(&p, &kkt_realized.q);
         prop_assert!(
             v_m >= v_kkt_realized * (1.0 - 1e-3) - 1e-9,
@@ -221,7 +235,7 @@ fn optimality_gap_does_not_regress_versus_seed() {
         .unwrap();
     let b = bound();
     for (budget, seed_gap) in expected {
-        let sol = solve_kkt(&p, &b, budget, &SolverOptions::default()).unwrap();
+        let sol = solve(&p, budget, &SolverOptions::default());
         let gap = b.optimality_gap(&p, &sol.q);
         assert!(
             gap <= seed_gap * (1.0 + 1e-9),
@@ -261,13 +275,13 @@ fn million_client_equilibrium_smoke() {
     let p = Population::synthesize(1_000_000, &spec, 2023).expect("synthesize 1M");
     let b = bound();
     let sequential = SolverOptions::with_threads(1);
-    let budget = path_budget(&p, &b, &sequential, 0.5);
+    let budget = budget_at(&p, &sequential, 0.5);
 
     let started = Instant::now();
-    let par = solve_kkt(&p, &b, budget, &SolverOptions::with_threads(4)).expect("parallel solve");
+    let par = solve(&p, budget, &SolverOptions::with_threads(4));
     let solve_time = started.elapsed();
 
-    let seq = solve_kkt(&p, &b, budget, &sequential).expect("sequential solve");
+    let seq = solve(&p, budget, &sequential);
     assert_eq!(par, seq, "thread count changed bits at 1M clients");
 
     let game = CplGame::new(p.clone(), b, budget).unwrap();
@@ -296,14 +310,29 @@ fn million_client_fast_path_cross_check() {
     let p = Population::synthesize(1_000_000, &spec, 2023).expect("synthesize 1M");
     let b = bound();
     let options = SolverOptions::with_threads(4);
-    let budget = path_budget(&p, &b, &options, 0.5);
     let cols = p.columns();
+    let population = ShardedPopulation::from(&p);
+    let budget = path_budget(&population, &b, &options, 0.5);
 
-    let (exact, exact_diag) =
-        solve_kkt_columns_hinted(&cols, &b, budget, &options, None).expect("exact solve");
+    let exact_request = KktRequest::new(&population, &b, budget, &options);
+    let (exact, exact_diag) = solve_kkt(&exact_request).expect("exact solve");
 
     let started = Instant::now();
-    let (fast, fast_diag) = solve_kkt_columns_fast(&cols, &b, budget, &options).expect("fast");
+    let (keys, segments) = chunk_keys(cols.len());
+    let index = ActiveSetIndex::build_keyed(
+        &IndexColumns::from_population(&cols),
+        &keys,
+        segments,
+        b.alpha_over_r(),
+        options.q_min,
+        1.0,
+        options.config.n_threads,
+    );
+    let (fast, fast_diag) = solve_kkt(&KktRequest {
+        index: Some(&index),
+        ..exact_request
+    })
+    .expect("fast");
     let fast_time = started.elapsed();
 
     assert_eq!(
@@ -330,7 +359,7 @@ fn million_client_fast_path_cross_check() {
         fast.spent,
         exact.spent
     );
-    let residual = fedfl_core::server::theorem2_max_residual_columns(&cols, &b, &fast, 10_000, 99)
+    let residual = theorem2_max_residual(&population, &b, &fast, 10_000, 99)
         .expect("interior clients in a 1M draw");
     assert!(residual < 1e-6, "fast Theorem-2 residual {residual}");
     // Index build + certified solve together must beat the 1.3s exact

@@ -21,6 +21,11 @@ pub const DEFAULT_MAX_FRAME: usize = 64 * 1024 * 1024;
 /// Bytes of the frame length prefix.
 pub const LENGTH_PREFIX: usize = 4;
 
+/// Payload buffer capacity reserved before any payload byte arrives. The
+/// buffer grows with the bytes actually received, so a length prefix
+/// alone never allocates more than this.
+const INITIAL_PAYLOAD_CAPACITY: usize = 8 * 1024;
+
 /// A framing violation — the byte stream itself broke the protocol.
 #[derive(Debug)]
 pub enum FrameError {
@@ -160,8 +165,8 @@ pub fn read_frame(reader: &mut impl Read, max: usize) -> Result<Option<Vec<u8>>,
     if declared > max {
         return Err(FrameError::TooLarge { declared, max });
     }
-    let mut payload = vec![0u8; declared];
-    let got = read_exact_or_eof(reader, &mut payload)?;
+    let mut payload = Vec::with_capacity(declared.min(INITIAL_PAYLOAD_CAPACITY));
+    let got = reader.take(declared as u64).read_to_end(&mut payload)?;
     if got < declared {
         return Err(FrameError::Truncated {
             expected: declared,
@@ -290,6 +295,15 @@ mod tests {
                 got: 3
             })
         ));
+        // A prefix declaring the cap, then only 16 bytes before EOF.
+        let max = DEFAULT_MAX_FRAME;
+        let mut short = (max as u32).to_be_bytes().to_vec();
+        short.extend_from_slice(&[b'x'; 16]);
+        let mut cursor = io::Cursor::new(short);
+        assert!(matches!(
+            read_frame(&mut cursor, max),
+            Err(FrameError::Truncated { expected, got: 16 }) if expected == max
+        ));
         // A prefix cut off mid-length.
         let mut cursor = io::Cursor::new(vec![0u8, 0u8]);
         assert!(matches!(
@@ -299,6 +313,38 @@ mod tests {
                 got: 2
             })
         ));
+    }
+
+    /// A reader that hands out one byte per `read` call.
+    struct Trickle(io::Cursor<Vec<u8>>);
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let end = buf.len().min(1);
+            self.0.read(&mut buf[..end])
+        }
+    }
+
+    #[test]
+    fn frames_fed_one_byte_per_read_round_trip() {
+        let payload: Vec<u8> = (0..=255u8).cycle().take(20_000).collect();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &payload, DEFAULT_MAX_FRAME).unwrap();
+        write_frame(&mut buf, b"{}", DEFAULT_MAX_FRAME).unwrap();
+        let mut reader = Trickle(io::Cursor::new(buf));
+        assert_eq!(
+            read_frame(&mut reader, DEFAULT_MAX_FRAME).unwrap(),
+            Some(payload)
+        );
+        assert_eq!(
+            read_frame(&mut reader, DEFAULT_MAX_FRAME)
+                .unwrap()
+                .as_deref(),
+            Some(&b"{}"[..])
+        );
+        assert!(read_frame(&mut reader, DEFAULT_MAX_FRAME)
+            .unwrap()
+            .is_none());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The closed set of metrics the workspace records.
 //!
 //! Metrics are a compile-time enum rather than runtime-registered strings:
-//! every instrument site names a [`Metric`] variant, the [`Registry`]
-//! (see [`crate::registry`]) stores one slot per variant indexed by the
+//! every instrument site names a [`Metric`] variant, the
+//! [`Registry`](crate::Registry) stores one slot per variant indexed by the
 //! discriminant, and recording is a single atomic op with no hashing or
 //! locking on the hot path.
 //!

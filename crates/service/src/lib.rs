@@ -18,7 +18,7 @@
 //!   dirty shards' columns** — `O(N/S · dirty)` instead of the monolithic
 //!   `O(N)` — then gathers them in insertion order with the exact
 //!   `Population::from_raw` normalisation and solves over chunk-aligned
-//!   shard column-sets ([`fedfl_core::server::solve_kkt_sharded_hinted`]).
+//!   shard column-sets ([`fedfl_core::server::solve_kkt`]).
 //!   Prices are bit-identical for **any** shard count; [`RepriceReport`]
 //!   records the dirty-shard accounting.
 //! * **Incremental re-solve** — population deltas shift the spend curve of

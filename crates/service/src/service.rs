@@ -6,8 +6,8 @@ use crate::{AvailabilityModel, ClientId, ClientParams};
 use fedfl_core::active_set::{ActiveSetIndex, PatchStats};
 use fedfl_core::bound::BoundParams;
 use fedfl_core::server::{
-    estimate_path_parameter_sharded, solve_kkt_sharded_fast_with_index_observed,
-    solve_kkt_sharded_hinted_observed, theorem2_max_residual_sharded, SolverMode, SolverOptions,
+    estimate_path_parameter, solve_kkt, theorem2_max_residual, KktRequest, SolverMode,
+    SolverOptions,
 };
 use fedfl_obs::{Metric, MetricsReport, NoopRecorder, Recorder, Registry, Stopwatch};
 use serde::{Deserialize, Serialize};
@@ -591,7 +591,7 @@ impl PricingService {
         let hint = self.warm_hint.map(|warm| {
             let ratio = assembled.total_raw_weight / warm.total_weight;
             let t_scaled = warm.t_star * ratio * ratio * (warm.aor / aor);
-            estimate_path_parameter_sharded(
+            estimate_path_parameter(
                 &assembled.population,
                 &self.config.bound,
                 self.config.budget,
@@ -600,6 +600,20 @@ impl PricingService {
             )
             .unwrap_or(t_scaled)
         });
+        let request = KktRequest {
+            hint,
+            recorder: &recorder,
+            ..KktRequest::new(
+                &assembled.population,
+                &self.config.bound,
+                self.config.budget,
+                &self.config.solver,
+            )
+        };
+        // Index work of this reprice (fast path only; zero when the
+        // cached index is reused).
+        let mut index_rebuild_ns = 0u64;
+        let mut segments = PatchStats::default();
         let (solution, diag) = if self.config.fast_path {
             // Reuse the cached threshold index when the global stamp
             // proves the assembled population and the index parameters
@@ -619,8 +633,6 @@ impl PricingService {
             let stamp_matches = self.fast_index.as_ref().is_some_and(|cached| {
                 cached.store_version == store_version && params_match(cached)
             });
-            let mut index_rebuild_ns = 0u64;
-            let mut segments = PatchStats::default();
             if stamp_matches {
                 recorder.add(Metric::ServiceIndexReuses, 1);
             } else {
@@ -690,33 +702,16 @@ impl PricingService {
                 });
             }
             let index = &self.fast_index.as_ref().expect("cached above").index;
-            let (solution, mut diag) = solve_kkt_sharded_fast_with_index_observed(
-                &assembled.population,
-                &self.config.bound,
-                self.config.budget,
-                &self.config.solver,
-                index,
-                hint,
-                recorder,
-            )?;
-            diag.index_rebuild_ns = index_rebuild_ns;
-            diag.index_segments_rebuilt = segments.rebuilt as u64;
-            diag.index_segments_repaired = segments.repaired as u64;
-            diag.index_segments_reused = segments.reused as u64;
-            (solution, diag)
+            solve_kkt(&KktRequest {
+                index: Some(index),
+                ..request
+            })?
         } else {
-            solve_kkt_sharded_hinted_observed(
-                &assembled.population,
-                &self.config.bound,
-                self.config.budget,
-                &self.config.solver,
-                hint,
-                recorder,
-            )?
+            solve_kkt(&request)?
         };
 
         // Certify the equilibrium before serving it (Theorem 2).
-        let residual = theorem2_max_residual_sharded(
+        let residual = theorem2_max_residual(
             &assembled.population,
             &self.config.bound,
             &solution,
@@ -748,10 +743,10 @@ impl PricingService {
             rebuilt_columns: stats.rebuilt_columns,
             solver_mode: diag.solver_mode,
             probe_evaluations: diag.probe_evaluations,
-            index_rebuild_ns: diag.index_rebuild_ns,
-            index_segments_rebuilt: diag.index_segments_rebuilt,
-            index_segments_repaired: diag.index_segments_repaired,
-            index_segments_reused: diag.index_segments_reused,
+            index_rebuild_ns,
+            index_segments_rebuilt: segments.rebuilt as u64,
+            index_segments_repaired: segments.repaired as u64,
+            index_segments_reused: segments.reused as u64,
         };
 
         // Scatter the solved profile back over the full client list.

@@ -9,7 +9,8 @@
 
 use fedfl_core::bound::BoundParams;
 use fedfl_core::population::{ClientProfile, Population};
-use fedfl_core::server::{path_budget, solve_kkt, solve_kkt_columns_hinted, SolverOptions};
+use fedfl_core::server::{path_budget, solve_kkt, KktRequest, SolverOptions};
+use fedfl_core::shard::ShardedPopulation;
 use fedfl_num::rng::substream;
 use fedfl_service::{AvailabilityPattern, ClientId, ClientParams, PricingService, ServiceConfig};
 use proptest::prelude::*;
@@ -90,20 +91,8 @@ fn reference_solve(
         .iter()
         .zip(&included)
         .all(|(&r, &inc)| !inc || r == 1.0);
-    let (solution, diag) = if all_on {
-        // Exercise the *public* from-scratch path where it applies.
-        let sol = solve_kkt(&population, &bound(), config.budget, &config.solver)
-            .expect("from-scratch solve");
-        let (check, diag) = solve_kkt_columns_hinted(
-            &population.columns(),
-            &bound(),
-            config.budget,
-            &config.solver,
-            None,
-        )
-        .expect("cold columns solve");
-        assert_eq!(sol, check, "columns path drifted from solve_kkt");
-        (sol, diag)
+    let reference = if all_on {
+        ShardedPopulation::from(&population)
     } else {
         let included_rates: Vec<f64> = rates
             .iter()
@@ -115,9 +104,15 @@ fn reference_solve(
             .columns()
             .effective(&included_rates)
             .expect("effective view");
-        solve_kkt_columns_hinted(&eff, &bound(), config.budget, &config.solver, None)
-            .expect("cold effective solve")
+        ShardedPopulation::from(eff)
     };
+    let (solution, diag) = solve_kkt(&KktRequest::new(
+        &reference,
+        &bound(),
+        config.budget,
+        &config.solver,
+    ))
+    .expect("from-scratch solve");
     let n = mirror.len();
     let mut prices = vec![0.0f64; n];
     let mut q_eff = vec![0.0f64; n];
@@ -156,8 +151,9 @@ fn run_churn(seed: u64, n0: usize, steps: usize, availability_mode: u8, threads:
     // An interior-ish budget derived from the initial always-on population
     // (churn may still drive the solve to its saturated/floored corners —
     // those must stay bit-identical too).
-    let budget_pop =
-        Population::from_raw(initial.iter().map(ClientParams::raw_profile).collect()).unwrap();
+    let budget_pop = ShardedPopulation::from(
+        &Population::from_raw(initial.iter().map(ClientParams::raw_profile).collect()).unwrap(),
+    );
     // A fully-floored tiny population can realise a zero path spend; the
     // service now rejects non-positive budgets, so keep the floored regime
     // with an epsilon budget instead (bit-identical: both floor everyone).

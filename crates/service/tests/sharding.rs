@@ -15,6 +15,7 @@
 use fedfl_core::bound::BoundParams;
 use fedfl_core::population::Population;
 use fedfl_core::server::{path_budget, SolverOptions};
+use fedfl_core::shard::ShardedPopulation;
 use fedfl_num::rng::substream;
 use fedfl_service::{
     AvailabilityPattern, ClientId, ClientParams, Command, PricingService, Response, ServiceConfig,
@@ -24,6 +25,14 @@ use rand::Rng;
 
 fn bound() -> BoundParams {
     BoundParams::new(4_000.0, 100.0, 1_000).unwrap()
+}
+
+/// The path budget at `frac` of the always-on population of `clients`.
+fn budget_for(clients: &[ClientParams], frac: f64) -> f64 {
+    let population =
+        Population::from_raw(clients.iter().map(ClientParams::raw_profile).collect()).unwrap();
+    let population = ShardedPopulation::from(&population);
+    path_budget(&population, &bound(), &SolverOptions::default(), frac)
 }
 
 fn draw_client<R: Rng>(rng: &mut R, availability_mode: u8) -> ClientParams {
@@ -72,12 +81,10 @@ fn build_history(seed: u64, n0: usize, steps: usize, availability_mode: u8) -> H
     let initial: Vec<ClientParams> = (0..n0)
         .map(|_| draw_client(&mut rng, availability_mode))
         .collect();
-    let budget_pop =
-        Population::from_raw(initial.iter().map(ClientParams::raw_profile).collect()).unwrap();
     // Tiny adversarial populations can realise a non-positive path spend
     // (floored clients, value-heavy negative prices); the service rejects
     // non-positive budgets, so clamp to an epsilon floored-regime budget.
-    let budget = path_budget(&budget_pop, &bound(), &SolverOptions::default(), 0.45).max(1e-12);
+    let budget = budget_for(&initial, 0.45).max(1e-12);
     let mut population = n0;
     let steps = (0..steps)
         .map(|_| {
@@ -207,10 +214,8 @@ fn dirty_shard_rebuilds_touch_a_strict_subset_of_columns() {
     // rebuild well under half of a 1024-client population's columns.
     let mut rng = substream(7, 0xD1127);
     let clients: Vec<ClientParams> = (0..1024).map(|_| draw_client(&mut rng, 0)).collect();
-    let budget_pop =
-        Population::from_raw(clients.iter().map(ClientParams::raw_profile).collect()).unwrap();
     let mut config = ServiceConfig::new(bound(), 0.0);
-    config.budget = path_budget(&budget_pop, &bound(), &config.solver, 0.4);
+    config.budget = budget_for(&clients, 0.4);
     config.shards = 8;
     let (mut service, ids) = PricingService::with_clients(config, clients).unwrap();
     let first = service.reprice().unwrap();
@@ -247,10 +252,8 @@ fn dirty_shard_rebuilds_touch_a_strict_subset_of_columns() {
 fn update_budget_matches_a_fresh_deployment_bitwise() {
     let mut rng = substream(11, 0xB0D6E7);
     let clients: Vec<ClientParams> = (0..64).map(|_| draw_client(&mut rng, 0)).collect();
-    let budget_pop =
-        Population::from_raw(clients.iter().map(ClientParams::raw_profile).collect()).unwrap();
-    let b0 = path_budget(&budget_pop, &bound(), &SolverOptions::default(), 0.3);
-    let b1 = path_budget(&budget_pop, &bound(), &SolverOptions::default(), 0.6);
+    let b0 = budget_for(&clients, 0.3);
+    let b1 = budget_for(&clients, 0.6);
 
     let mut config = ServiceConfig::new(bound(), b0);
     config.shards = 4;
@@ -293,9 +296,7 @@ fn update_budget_matches_a_fresh_deployment_bitwise() {
 fn update_bound_matches_a_fresh_deployment_bitwise() {
     let mut rng = substream(13, 0xB07D);
     let clients: Vec<ClientParams> = (0..64).map(|_| draw_client(&mut rng, 0)).collect();
-    let budget_pop =
-        Population::from_raw(clients.iter().map(ClientParams::raw_profile).collect()).unwrap();
-    let budget = path_budget(&budget_pop, &bound(), &SolverOptions::default(), 0.4);
+    let budget = budget_for(&clients, 0.4);
     let new_bound = BoundParams::new(6_000.0, 80.0, 1_500).unwrap();
 
     let mut config = ServiceConfig::new(bound(), budget);
@@ -358,9 +359,7 @@ fn fast_path_service_stays_certified_under_churn_and_reuses_the_index() {
 
     let mut rng = substream(19, 0xFA57);
     let clients: Vec<ClientParams> = (0..512).map(|_| draw_client(&mut rng, 0)).collect();
-    let budget_pop =
-        Population::from_raw(clients.iter().map(ClientParams::raw_profile).collect()).unwrap();
-    let budget = path_budget(&budget_pop, &bound(), &SolverOptions::default(), 0.4);
+    let budget = budget_for(&clients, 0.4);
     let mut config = ServiceConfig::new(bound(), budget);
     config.shards = 8;
     config.fast_path = true;

@@ -16,7 +16,8 @@ use crate::error::WorkloadError;
 use crate::generator::{fnv1a, Phase, Trace, TraceOp};
 use crate::spec::WorkloadSpec;
 use fedfl_core::population::{ClientProfile, Population};
-use fedfl_core::server::{path_budget, solve_kkt_columns_hinted, SolverMode, SolverOptions};
+use fedfl_core::server::{path_budget, solve_kkt, KktRequest, SolverMode, SolverOptions};
+use fedfl_core::shard::ShardedPopulation;
 use fedfl_obs::{
     Histogram, HistogramSnapshot, Metric, NoopRecorder, Recorder, Registry, Stopwatch,
 };
@@ -251,7 +252,7 @@ pub fn replay_config(spec: &WorkloadSpec, trace: &Trace) -> Result<ServiceConfig
     // an epsilon floored-regime budget (a no-op for realistic batches,
     // bit-preserving whenever the spend is positive).
     config.budget = path_budget(
-        &initial_population,
+        &ShardedPopulation::from(&initial_population),
         &bound(),
         &config.solver,
         spec.budget_frac,
@@ -707,12 +708,17 @@ fn reference(
             field: "effective columns",
             reason: e.to_string(),
         })?;
-    let (solution, _diag) =
-        solve_kkt_columns_hinted(&eff, &config.bound, config.budget, &config.solver, None)
-            .map_err(|e| WorkloadError::InvalidSpec {
-                field: "reference solve",
-                reason: e.to_string(),
-            })?;
+    let eff = ShardedPopulation::from(eff);
+    let (solution, _diag) = solve_kkt(&KktRequest::new(
+        &eff,
+        &config.bound,
+        config.budget,
+        &config.solver,
+    ))
+    .map_err(|e| WorkloadError::InvalidSpec {
+        field: "reference solve",
+        reason: e.to_string(),
+    })?;
     let n = mirror.len();
     let mut prices = vec![0.0f64; n];
     let mut q_eff = vec![0.0f64; n];

@@ -10,7 +10,8 @@ use fedfl::core::bayesian::{solve_bayesian, BayesianConfig, Prior};
 use fedfl::core::bound::BoundParams;
 use fedfl::core::cost::CostComponents;
 use fedfl::core::population::Population;
-use fedfl::core::server::{solve_kkt, SolverOptions};
+use fedfl::core::server::{solve_kkt, KktRequest, SolverOptions};
+use fedfl::core::shard::ShardedPopulation;
 use fedfl::core::tau::solve_kkt_tau;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -26,7 +27,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let budget = 25.0;
 
     // Complete information: the paper's optimum.
-    let complete = solve_kkt(&population, &bound, budget, &SolverOptions::default())?;
+    let (complete, _) = solve_kkt(&KktRequest::new(
+        &ShardedPopulation::from(&population),
+        &bound,
+        budget,
+        &SolverOptions::default(),
+    ))?;
     println!("complete information:   q* = {:?}", rounded(&complete.q));
     println!(
         "                        bound variance term {:.4}",

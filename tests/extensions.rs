@@ -6,7 +6,8 @@ use fedfl::core::bayesian::{solve_bayesian, BayesianConfig, Prior};
 use fedfl::core::bound::BoundParams;
 use fedfl::core::cost::{derive_cost_coefficients, CostComponents};
 use fedfl::core::population::Population;
-use fedfl::core::server::{solve_kkt, SolverOptions};
+use fedfl::core::server::{solve_kkt, KktRequest, SolverOptions};
+use fedfl::core::shard::ShardedPopulation;
 use fedfl::core::tau::solve_kkt_tau;
 use fedfl::data::synthetic::SyntheticConfig;
 use fedfl::model::sgd::{LocalSgdConfig, LrSchedule};
@@ -130,7 +131,9 @@ fn decoupled_costs_plug_into_the_game() {
         .values(vec![0.0; 4])
         .build()
         .unwrap();
-    let sol = solve_kkt(&population, &bound(), 15.0, &SolverOptions::default()).unwrap();
+    let sharded = ShardedPopulation::from(&population);
+    let options = SolverOptions::default();
+    let (sol, _) = solve_kkt(&KktRequest::new(&sharded, &bound(), 15.0, &options)).unwrap();
     // Order of q must be inverse to the order of derived costs.
     for i in 0..4 {
         for j in 0..4 {
@@ -212,7 +215,9 @@ fn information_cost_is_nonnegative_on_average() {
             1.0,
         )
         .unwrap();
-        let complete = solve_kkt(&p, &b, 10.0, &SolverOptions::default()).unwrap();
+        let sharded = ShardedPopulation::from(&p);
+        let options = SolverOptions::default();
+        let (complete, _) = solve_kkt(&KktRequest::new(&sharded, &b, 10.0, &options)).unwrap();
         let bayes = solve_bayesian(
             &p,
             &Prior::Exponential { mean: 50.0 },

@@ -117,9 +117,14 @@ fn training_trace_matches_golden() {
 fn golden_equilibrium_is_reproduced_across_thread_counts() {
     // The determinism contract behind the golden files: thread knobs can
     // never move the numbers.
-    use fedfl::core::server::{solve_kkt, SolverOptions};
+    use fedfl::core::server::{solve_kkt, KktRequest, SolverOptions};
+    use fedfl::core::shard::ShardedPopulation;
     let (_, _, _, population, bound) = pipeline();
-    let one = solve_kkt(&population, &bound, 25.0, &SolverOptions::with_threads(1)).unwrap();
-    let many = solve_kkt(&population, &bound, 25.0, &SolverOptions::with_threads(8)).unwrap();
+    let population = ShardedPopulation::from(&population);
+    let solve = |options: SolverOptions| {
+        solve_kkt(&KktRequest::new(&population, &bound, 25.0, &options)).unwrap()
+    };
+    let (one, _) = solve(SolverOptions::with_threads(1));
+    let (many, _) = solve(SolverOptions::with_threads(8));
     assert_eq!(one, many);
 }
