@@ -916,6 +916,60 @@ mod tests {
     }
 
     #[test]
+    fn sharded_build_is_bit_identical_to_flat() {
+        // Any chunk-aligned sharding, concatenated back into the global
+        // order, builds the flat population's index on any thread count.
+        let n = DEFAULT_CHUNK + 997;
+        let p = Population::synthesize(n, &PopulationSpec::table1_like(), 7).unwrap();
+        let cols = p.columns();
+        let flat = chunk_index(&cols, 1);
+        assert_eq!(flat.segment_count(), 2, "chunk keys split at DEFAULT_CHUNK");
+        for shard_count in [1usize, 2, 7, 32] {
+            let sharded = ShardedPopulation::from_columns(&cols, shard_count).unwrap();
+            for threads in [1usize, 3] {
+                let index = chunk_index(&sharded.concat(), threads);
+                assert_eq!(
+                    index, flat,
+                    "index diverged at shard_count {shard_count} threads {threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn single_bucket_keyed_index_probes_like_the_flat_grid() {
+        // Below one chunk, a single keyed bucket at scale 1 holds the
+        // same rows in the same order as the chunk-keyed build, so every
+        // probe agrees bit for bit.
+        let p = Population::synthesize(900, &PopulationSpec::table1_like(), 13).unwrap();
+        let cols = p.columns();
+        let grid = chunk_index(&cols, 1);
+        assert_eq!(grid.segment_count(), 1);
+        let keys = vec![0u32; cols.len()];
+        let keyed = ActiveSetIndex::build_keyed(
+            &IndexColumns::from_population(&cols),
+            &keys,
+            1,
+            aor(),
+            Q_MIN,
+            1.0,
+            1,
+        );
+        assert_eq!(keyed.segment_count(), 1);
+        assert_eq!(keyed.len(), grid.len());
+        assert_eq!(
+            keyed.bracket_hi().to_bits(),
+            grid.bracket_hi().to_bits(),
+            "bracket"
+        );
+        let hi = grid.bracket_hi();
+        for k in 0..=50 {
+            let t = hi * k as f64 / 50.0;
+            assert_eq!(keyed.spend(t).to_bits(), grid.spend(t).to_bits(), "t {t}");
+        }
+    }
+
+    #[test]
     fn spend_is_monotone_on_a_probe_grid() {
         let p = Population::synthesize(300, &PopulationSpec::table1_like(), 5).unwrap();
         let index = chunk_index(&p.columns(), 1);

@@ -1356,6 +1356,54 @@ mod tests {
     }
 
     #[test]
+    fn solver_rejects_bad_inputs() {
+        let p = ShardedPopulation::from(&population());
+        let b = bound();
+        let valid = SolverOptions::default();
+        assert!(solve_kkt(&KktRequest::new(&p, &b, f64::NAN, &valid)).is_err());
+        let bad = SolverOptions {
+            q_min: 0.0,
+            ..Default::default()
+        };
+        assert!(solve_kkt(&KktRequest::new(&p, &b, 10.0, &bad)).is_err());
+        let bad = SolverOptions {
+            m_grid_steps: 1,
+            ..Default::default()
+        };
+        assert!(solve_m_search(&p, &b, 10.0, &bad).is_err());
+    }
+
+    #[test]
+    fn columns_solver_validates_inputs() {
+        // Flat columns wrapped as one shard without a length check still
+        // meet the solver's validation.
+        let p = population();
+        let b = bound();
+        let options = SolverOptions::default();
+        let rejects = |cols: PopulationColumns, budget: f64| {
+            let columns = ShardedPopulation::from(cols);
+            solve_kkt(&KktRequest::new(&columns, &b, budget, &options)).is_err()
+        };
+        let mut cols = p.columns();
+        cols.cost.pop();
+        assert!(rejects(cols, 10.0));
+        let mut cols = p.columns();
+        cols.cost[1] = 0.0;
+        assert!(rejects(cols, 10.0));
+        let mut cols = p.columns();
+        cols.q_max[0] = Q_MIN / 2.0;
+        assert!(rejects(cols, 10.0));
+        let empty = PopulationColumns {
+            a2g2: vec![],
+            cost: vec![],
+            value: vec![],
+            q_max: vec![],
+        };
+        assert!(rejects(empty, 10.0));
+        assert!(rejects(p.columns(), f64::NAN));
+    }
+
+    #[test]
     fn solve_kkt_rejects_every_invalid_input() {
         use crate::population::PopulationSpec;
         // Two full chunks plus a tail: at three shards the last shard
