@@ -399,7 +399,8 @@ impl IndexSegment {
     }
 
     /// Count of rows with entry threshold strictly below `t` at `scale`
-    /// (`total_cmp` semantics, matching `fedfl_num::prefix::count_below`).
+    /// (`total_cmp` semantics, the order `fedfl_num::prefix::sort_permutation`
+    /// sorts by).
     /// First/last boundary checks short-circuit all-floored and
     /// all-past-entry segments — the directory half of a probe.
     fn count_entry_below(&self, t: f64, scale: f64) -> usize {

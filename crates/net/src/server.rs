@@ -273,6 +273,11 @@ pub fn serve(
                 break;
             }
             let Ok(stream) = incoming else { continue };
+            // Replies are small frames: with Nagle's algorithm on, a reply
+            // can wait for the peer to acknowledge the previous one.
+            if stream.set_nodelay(true).is_err() {
+                continue;
+            }
             let Ok(tracked) = stream.try_clone() else {
                 continue;
             };

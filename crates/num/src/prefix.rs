@@ -1,21 +1,15 @@
 //! Threshold-order prefix primitives for the active-set fast path.
 //!
-//! The sub-linear λ-probe index sorts clients by their closed-form
-//! entry/saturation thresholds once per rebuild and then answers every
-//! probe with a binary search over prefix sums. These primitives carry
-//! the same shard-mergeable contract as [`crate::parallel`]'s chunked
-//! reductions, but for *orderings* instead of summation trees: a sharded
-//! population sorts each contiguous shard segment independently and
-//! merges the sorted runs, and [`merge_sorted_runs`] guarantees the
-//! merged order is **bit-identical** to a flat stable sort of the
-//! concatenated keys. Prefix sums taken in that order are therefore
-//! themselves independent of the shard count.
+//! The sub-linear λ-probe index sorts each segment's clients by their
+//! closed-form entry/saturation thresholds once per rebuild and then
+//! answers every probe with a binary search over prefix sums taken in
+//! that order. [`sort_permutation`] fixes the order (a stable argsort),
+//! [`gather`] applies it, and [`exclusive_prefix_sums`] folds in a fixed
+//! ascending order, so the same keys and values always give the same
+//! bits however the input slices were assembled.
 //!
 //! All orderings use [`f64::total_cmp`], so ties (including `-0.0` vs
 //! `0.0` and NaN payloads) have one well-defined resolution everywhere.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Stable argsort of `keys` under [`f64::total_cmp`].
 ///
@@ -66,114 +60,6 @@ pub fn exclusive_prefix_sums(values: &[f64]) -> Vec<f64> {
     out
 }
 
-/// One position in a merged ordering: which run, and which index within
-/// that run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunPos {
-    /// Index of the source run in the slice passed to
-    /// [`merge_sorted_runs`].
-    pub run: u32,
-    /// Position within that run.
-    pub index: u32,
-}
-
-/// An entry in the k-way merge heap, ordered so the heap pops the
-/// smallest `(key, run)` first — the leftmost-run-first tie-break that
-/// makes the merge of contiguous-segment runs equal a flat stable sort.
-struct HeapEntry {
-    key: f64,
-    run: u32,
-    index: u32,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key.total_cmp(&other.key) == Ordering::Equal && self.run == other.run
-    }
-}
-
-impl Eq for HeapEntry {}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: `BinaryHeap` is a max-heap and we want the smallest
-        // key (then the leftmost run) on top.
-        other
-            .key
-            .total_cmp(&self.key)
-            .then(other.run.cmp(&self.run))
-    }
-}
-
-/// Stable k-way merge of sorted runs.
-///
-/// Each run must already be sorted under [`f64::total_cmp`] (as produced
-/// by [`sort_permutation`] + [`gather`]). Returns the merged order as
-/// [`RunPos`] entries. Ties across runs resolve to the leftmost run, and
-/// ties within a run keep the run's order, so if the runs are sorted
-/// contiguous segments of one flat array, the merged order is exactly
-/// the flat array's stable sort order — the contract that makes
-/// per-shard index builds bit-identical to a flat build.
-///
-/// # Panics
-///
-/// Panics if there are more than `u32::MAX` runs or any run is longer
-/// than `u32::MAX`.
-pub fn merge_sorted_runs(runs: &[&[f64]]) -> Vec<RunPos> {
-    assert!(
-        u32::try_from(runs.len()).is_ok(),
-        "merge_sorted_runs supports at most u32::MAX runs"
-    );
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut heap = BinaryHeap::with_capacity(runs.len());
-    for (run, keys) in runs.iter().enumerate() {
-        assert!(
-            u32::try_from(keys.len()).is_ok(),
-            "merge_sorted_runs supports runs of at most u32::MAX keys"
-        );
-        if let Some(&key) = keys.first() {
-            heap.push(HeapEntry {
-                key,
-                run: run as u32,
-                index: 0,
-            });
-        }
-    }
-    while let Some(HeapEntry { run, index, .. }) = heap.pop() {
-        out.push(RunPos { run, index });
-        let keys = runs[run as usize];
-        let next = index as usize + 1;
-        if next < keys.len() {
-            heap.push(HeapEntry {
-                key: keys[next],
-                run,
-                index: next as u32,
-            });
-        }
-    }
-    out
-}
-
-/// Count of elements in a sorted slice strictly below `bound` —
-/// `partition_point` under [`f64::total_cmp`], exposed so index lookups
-/// across the workspace share one tie-break convention.
-pub fn count_below(sorted: &[f64], bound: f64) -> usize {
-    sorted.partition_point(|&k| k.total_cmp(&bound) == Ordering::Less)
-}
-
-/// Count of elements in a sorted slice at or below `bound` (`<=` under
-/// [`f64::total_cmp`]).
-pub fn count_at_or_below(sorted: &[f64], bound: f64) -> usize {
-    sorted.partition_point(|&k| k.total_cmp(&bound) != Ordering::Greater)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,90 +86,8 @@ mod tests {
     }
 
     #[test]
-    fn merged_runs_reproduce_the_flat_stable_sort() {
-        // Keys with cross-run ties: the merge must equal the flat stable
-        // sort of the concatenation, position for position.
-        let flat = [5.0, 1.0, 3.0, 3.0, 1.0, 2.0, 3.0, 0.5, 1.0, 9.0, 3.0];
-        for split in [vec![11], vec![4, 7], vec![3, 3, 3, 2], vec![1; 11]] {
-            let mut runs_owned: Vec<Vec<f64>> = Vec::new();
-            let mut offsets = vec![0usize];
-            let mut start = 0;
-            for len in &split {
-                let segment = &flat[start..start + len];
-                let perm = sort_permutation(segment);
-                runs_owned.push(gather(segment, &perm));
-                start += len;
-                offsets.push(start);
-            }
-            assert_eq!(start, flat.len());
-            let runs: Vec<&[f64]> = runs_owned.iter().map(Vec::as_slice).collect();
-            let merged = merge_sorted_runs(&runs);
-
-            // Map every merged position back to its flat index; the
-            // sequence must match the flat stable argsort exactly.
-            let mut flat_from_merge = Vec::new();
-            for pos in &merged {
-                let segment = &flat[offsets[pos.run as usize]..offsets[pos.run as usize + 1]];
-                let perm = sort_permutation(segment);
-                flat_from_merge.push(offsets[pos.run as usize] + perm[pos.index as usize] as usize);
-            }
-            let flat_perm: Vec<usize> = sort_permutation(&flat)
-                .into_iter()
-                .map(|i| i as usize)
-                .collect();
-            assert_eq!(flat_from_merge, flat_perm, "split {split:?}");
-        }
-    }
-
-    #[test]
-    fn merged_prefix_sums_are_split_invariant() {
-        // The downstream contract: gathering values in merged order and
-        // prefix-summing them gives the same bits for any contiguous
-        // split.
-        let keys = [4.0, 1.0, 4.0, 2.0, 8.0, 1.0, 0.25, 4.0];
-        let values = [0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 12.8];
-        let flat_perm = sort_permutation(&keys);
-        let reference = exclusive_prefix_sums(&gather(&values, &flat_perm));
-        for split in [vec![8], vec![3, 5], vec![2, 2, 2, 2]] {
-            let mut sorted_keys: Vec<Vec<f64>> = Vec::new();
-            let mut sorted_values: Vec<Vec<f64>> = Vec::new();
-            let mut start = 0;
-            for len in &split {
-                let perm = sort_permutation(&keys[start..start + len]);
-                sorted_keys.push(gather(&keys[start..start + len], &perm));
-                sorted_values.push(gather(&values[start..start + len], &perm));
-                start += len;
-            }
-            let runs: Vec<&[f64]> = sorted_keys.iter().map(Vec::as_slice).collect();
-            let merged = merge_sorted_runs(&runs);
-            let gathered: Vec<f64> = merged
-                .iter()
-                .map(|p| sorted_values[p.run as usize][p.index as usize])
-                .collect();
-            let prefix = exclusive_prefix_sums(&gathered);
-            assert_eq!(prefix.len(), reference.len());
-            for (a, b) in prefix.iter().zip(&reference) {
-                assert_eq!(a.to_bits(), b.to_bits(), "split {split:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn count_helpers_agree_with_linear_scans() {
-        let sorted = [1.0, 2.0, 2.0, 2.0, 5.0];
-        assert_eq!(count_below(&sorted, 2.0), 1);
-        assert_eq!(count_at_or_below(&sorted, 2.0), 4);
-        assert_eq!(count_below(&sorted, 0.0), 0);
-        assert_eq!(count_at_or_below(&sorted, 5.0), 5);
-        assert_eq!(count_at_or_below(&sorted, 6.0), 5);
-    }
-
-    #[test]
     fn empty_inputs_are_fine() {
         assert!(sort_permutation(&[]).is_empty());
         assert_eq!(exclusive_prefix_sums(&[]), vec![0.0]);
-        assert!(merge_sorted_runs(&[]).is_empty());
-        let empty: &[f64] = &[];
-        assert!(merge_sorted_runs(&[empty, empty]).is_empty());
     }
 }

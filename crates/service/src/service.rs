@@ -307,10 +307,13 @@ struct FastIndexState {
 /// A long-running pricing service owning a churning, sharded client
 /// population.
 ///
-/// See the crate docs for the full contract. All mutating commands are
-/// cheap (`O(batch)` or one `O(N)` compaction) and dirty only the store
-/// shards they touch; a re-solve rebuilds only the dirty shards' columns
-/// before the λ-bisection, warm-started from the previous solve.
+/// See the crate docs for the full contract. Mutating commands dirty only
+/// the store shards they touch. Adds are `O(batch)`; a removal sorts its
+/// batch and closes the gaps in the touched shards and the id-ordered
+/// client list; an availability update is one cursor walk of that list
+/// (no per-client hashing anywhere). A re-solve rebuilds only the dirty
+/// shards' columns before the λ-bisection, warm-started from the previous
+/// solve.
 #[derive(Debug, Clone)]
 pub struct PricingService {
     config: ServiceConfig,

@@ -3,12 +3,31 @@
 //!
 //! Clients are routed to a fixed set of shards by id block
 //! (`shard = (id / 32) % shards`, so one registration batch lands in few
-//! shards) while a separate insertion-order index preserves the **global
-//! client order** — the order every solve, snapshot, and from-scratch
-//! verifier uses. Each shard caches the per-client solver inputs that are
-//! expensive to recompute under churn (availability rates, inclusion
-//! masks, the effective-cost transform `c/rate²` and cap `q_max·rate`);
-//! a delta dirties only the shards it touches, and
+//! shards). Ids are issued in ascending order and never reused, so the
+//! **global client order** — the order every solve, snapshot, and
+//! from-scratch verifier uses — is ascending id order, and so is each
+//! shard's client list: both are appended in issue order and compacted
+//! order-preservingly. That invariant replaces any per-client lookup
+//! table:
+//!
+//! - Walks over the global order ([`ShardedClientStore::assemble`],
+//!   [`ShardedClientStore::set_availability`]) keep one cursor per shard:
+//!   the next id routed to shard `s` is that shard's client at
+//!   `cursor[s]`.
+//! - [`ShardedClientStore::remove`] sorts the departing ids, finds them
+//!   in the touched shards by binary search, and closes the gaps in those
+//!   shards and in the global order, with no per-survivor bookkeeping.
+//! - [`ShardedClientStore::position`] answers id → global position from a
+//!   directory of live route blocks: each block keeps its first global
+//!   position and a bitmask of its live ids, and a block's live ids are
+//!   contiguous in the global order, so the position is `first` plus the
+//!   live ids below it in the block. The directory holds one entry per
+//!   live block, and a removal re-stamps `first` once per live block.
+//!
+//! Each shard caches the per-client solver inputs that are expensive to
+//! recompute under churn (availability rates, inclusion masks, the
+//! effective-cost transform `c/rate²` and cap `q_max·rate`); a delta
+//! dirties only the shards it touches, and
 //! [`ShardedClientStore::ensure_caches`] rebuilds only those. The
 //! per-solve [`ShardedClientStore::assemble`] pass then gathers the cached
 //! columns in insertion order, normalises raw weights with the same
@@ -24,17 +43,19 @@
 use crate::error::ServiceError;
 use crate::{ClientId, ClientParams};
 use fedfl_core::active_set::IndexColumns;
-use fedfl_core::population::PopulationColumns;
+use fedfl_core::population::{ClientProfile, PopulationColumns};
 use fedfl_core::shard::ShardedPopulation;
 use fedfl_core::GameError;
 use fedfl_num::parallel::ShardPlan;
-use fedfl_sim::availability::AvailabilityModel;
+use fedfl_sim::availability::{AvailabilityModel, AvailabilityPattern};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Consecutive ids routed to the same shard. A churn batch of up to this
 /// many registrations dirties at most two shards; removals dirty the
-/// shards of the departing ids.
-const ROUTE_BLOCK: u64 = 32;
+/// shards of the departing ids. One block's live ids fit one
+/// [`Block::live`] mask.
+const ROUTE_BLOCK: u64 = u32::BITS as u64;
 
 /// Segment count of the service's keyed threshold index. Clients key on
 /// the same id blocks the store routes by (`(id / ROUTE_BLOCK) %
@@ -46,22 +67,13 @@ const ROUTE_BLOCK: u64 = 32;
 /// directory walk.
 pub(crate) const INDEX_SEGMENTS: usize = 256;
 
-/// One registered client.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ClientRecord {
-    /// The id handed out at registration.
-    pub id: ClientId,
-    /// The client's submitted parameters.
-    pub params: ClientParams,
-}
-
-/// Cached per-client solver inputs of one shard, aligned with its records.
+/// Cached per-client solver inputs of one shard, aligned with its clients.
 ///
-/// Everything here is a pure per-client function of the record and the
-/// service's fixed `(availability_aware, q_min)` knobs — never of the rest
-/// of the population — which is what makes the cache shard-local. The
-/// weight-normalisation (and the `a²G²` column that depends on it) is
-/// global and recomputed in the assembly pass.
+/// Everything here is a pure per-client function of the client's
+/// parameters and the service's fixed `(availability_aware, q_min)` knobs
+/// — never of the rest of the population — which is what makes the cache
+/// shard-local. The weight-normalisation (and the `a²G²` column that
+/// depends on it) is global and recomputed in the assembly pass.
 #[derive(Debug, Clone, Default)]
 struct ShardCache {
     rate: Vec<f64>,
@@ -73,21 +85,80 @@ struct ShardCache {
     q_max_eff: Vec<f64>,
 }
 
-/// One store shard: its records plus the lazily rebuilt cache
-/// (`None` = dirty).
+/// One store shard: its clients in ascending id order, one column per
+/// field (availability updates walk only their own column), plus the
+/// lazily rebuilt cache (`None` = dirty).
 #[derive(Debug, Clone, Default)]
 struct StoreShard {
-    records: Vec<ClientRecord>,
+    ids: Vec<ClientId>,
+    /// Raw-weighted profiles (`weight` = the submitted `data_size`).
+    profiles: Vec<ClientProfile>,
+    availability: Vec<AvailabilityPattern>,
     cache: Option<ShardCache>,
 }
 
-/// Where a client lives: its shard, its position within the shard, and
-/// its position in the global insertion order.
+/// Directory entry of one live route block (`id / ROUTE_BLOCK`).
 #[derive(Debug, Clone, Copy)]
-struct Slot {
-    shard: usize,
-    local: usize,
-    global: usize,
+struct Block {
+    /// Global position of the block's first live id.
+    first: u32,
+    /// Bit `id % ROUTE_BLOCK` is set for every live id of the block.
+    live: u32,
+}
+
+impl Block {
+    /// Global position of the id at `bit` (`1 << id % ROUTE_BLOCK`), if
+    /// it is live: the block's live ids are contiguous in the global
+    /// order, so it sits after the live ids below it.
+    fn position(&self, bit: u32) -> Option<usize> {
+        (self.live & bit != 0)
+            .then(|| self.first as usize + (self.live & (bit - 1)).count_ones() as usize)
+    }
+}
+
+/// Multiplicative hashing for the directory's block keys. The keys are
+/// ids the store issued itself, so SipHash's flooding resistance buys
+/// nothing, and a lookup is on every `GetPrices` id's path. An odd
+/// multiplier permutes the low bits (consecutive blocks land in distinct
+/// buckets) and mixes them into the high bits the table tags with.
+#[derive(Debug, Default)]
+struct BlockHasher(u64);
+
+impl Hasher for BlockHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Live route blocks by `id / ROUTE_BLOCK`.
+type Directory = HashMap<u64, Block, BuildHasherDefault<BlockHasher>>;
+
+/// The directory key and live-mask bit of an id.
+fn block_of(id: u64) -> (u64, u32) {
+    (id / ROUTE_BLOCK, 1 << (id % ROUTE_BLOCK))
+}
+
+/// Remove the entries at positions `at` (ascending, distinct, in bounds)
+/// from `items`, moving each run of survivors down once.
+fn remove_positions<T: Copy>(items: &mut Vec<T>, at: &[usize]) {
+    let Some(&first) = at.first() else { return };
+    let mut write = first;
+    for (k, &hole) in at.iter().enumerate() {
+        let end = at.get(k + 1).copied().unwrap_or(items.len());
+        items.copy_within(hole + 1..end, write);
+        write += end - hole - 1;
+    }
+    items.truncate(write);
 }
 
 /// Rebuild statistics of one [`ShardedClientStore::ensure_caches`] call —
@@ -163,9 +234,10 @@ pub(crate) struct AssembledView {
 #[derive(Debug, Clone)]
 pub(crate) struct ShardedClientStore {
     shards: Vec<StoreShard>,
-    /// Client ids in global insertion order.
+    /// Client ids in global insertion order, which is ascending id order.
     order: Vec<ClientId>,
-    index: HashMap<u64, Slot>,
+    /// Live route blocks (see [`Block`]).
+    blocks: Directory,
     next_id: u64,
     /// Monotonically increasing mutation stamp: bumped by every delta that
     /// can change the assembled solver view (adds, removes, effective
@@ -186,7 +258,7 @@ impl ShardedClientStore {
         Self {
             shards: vec![StoreShard::default(); shard_count.max(1)],
             order: Vec::new(),
-            index: HashMap::new(),
+            blocks: Directory::default(),
             next_id: 0,
             version: 0,
             shard_versions: vec![0; shard_count.max(1)],
@@ -226,7 +298,8 @@ impl ShardedClientStore {
 
     /// Position of `id` in the global insertion order, if registered.
     pub fn position(&self, id: ClientId) -> Option<usize> {
-        self.index.get(&id.0).map(|slot| slot.global)
+        let (key, bit) = block_of(id.0);
+        self.blocks.get(&key)?.position(bit)
     }
 
     /// The shard an id is (or would be) routed to.
@@ -242,6 +315,14 @@ impl ShardedClientStore {
                 .validate()
                 .map_err(|reason| ServiceError::InvalidClient { index, reason })?;
         }
+        // Global positions are `u32`, the index layer's population cap.
+        let room = (u32::MAX as usize).saturating_sub(self.order.len());
+        if batch.len() > room {
+            return Err(ServiceError::InvalidClient {
+                index: room,
+                reason: format!("the service holds at most {} clients", u32::MAX),
+            });
+        }
         if !batch.is_empty() {
             self.version += 1;
         }
@@ -249,18 +330,21 @@ impl ShardedClientStore {
         for params in batch {
             let id = ClientId(self.next_id);
             self.next_id += 1;
-            let shard = self.route(id.0);
-            self.shards[shard].cache = None;
-            self.shard_versions[shard] = self.version;
-            self.index.insert(
-                id.0,
-                Slot {
-                    shard,
-                    local: self.shards[shard].records.len(),
-                    global: self.order.len(),
-                },
-            );
-            self.shards[shard].records.push(ClientRecord { id, params });
+            let s = self.route(id.0);
+            self.shard_versions[s] = self.version;
+            // A fresh id is above every live one, so it lands last both in
+            // its shard and in the global order (and so in its block).
+            let (key, bit) = block_of(id.0);
+            let first = self.order.len() as u32;
+            self.blocks
+                .entry(key)
+                .or_insert(Block { first, live: 0 })
+                .live |= bit;
+            let shard = &mut self.shards[s];
+            shard.cache = None;
+            shard.ids.push(id);
+            shard.profiles.push(params.raw_profile());
+            shard.availability.push(params.availability);
             self.order.push(id);
             ids.push(id);
         }
@@ -271,58 +355,77 @@ impl ShardedClientStore {
     /// shards and the global order), dirtying only the touched shards.
     ///
     /// Rejects the whole batch — mutating nothing — if any id is unknown
-    /// or duplicated within the batch.
+    /// or duplicated within the batch, naming the first offender in batch
+    /// order.
     pub fn remove(&mut self, ids: &[ClientId]) -> Result<usize, ServiceError> {
-        let mut doomed_global = vec![false; self.order.len()];
-        for &id in ids {
-            let slot = self
-                .index
-                .get(&id.0)
-                .copied()
-                .ok_or(ServiceError::UnknownClient(id))?;
-            if doomed_global[slot.global] {
-                return Err(ServiceError::DuplicateRemoval(id));
-            }
-            doomed_global[slot.global] = true;
-        }
         if ids.is_empty() {
             return Ok(0);
         }
-        self.version += 1;
-        // Compact each touched shard, preserving per-shard order.
-        let mut touched = vec![false; self.shards.len()];
-        for &id in ids {
-            touched[self.index[&id.0].shard] = true;
-        }
-        let index = &self.index;
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            if touched[s] {
-                shard.cache = None;
-                self.shard_versions[s] = self.version;
-                shard
-                    .records
-                    .retain(|r| !doomed_global[index[&r.id.0].global]);
-            }
-        }
-        // Compact the global order and drop removed ids from the index.
-        for &id in ids {
-            self.index.remove(&id.0);
-        }
-        let mut flags = doomed_global.iter();
-        self.order.retain(|_| !*flags.next().expect("mask aligned"));
-        // Reindex: shard/local for touched shards, global for everyone at
-        // or after the first removal.
-        for (s, shard) in self.shards.iter().enumerate() {
-            if touched[s] {
-                for (local, record) in shard.records.iter().enumerate() {
-                    let slot = self.index.get_mut(&record.id.0).expect("kept id indexed");
-                    slot.shard = s;
-                    slot.local = local;
+        // Sort (id, batch index) pairs: duplicates become neighbours, and
+        // the first offender is the one with the smallest batch index — an
+        // unknown id at its first occurrence, a duplicate at its second.
+        let mut sorted: Vec<(u64, usize)> =
+            ids.iter().enumerate().map(|(at, id)| (id.0, at)).collect();
+        sorted.sort_unstable();
+        let mut offender: Option<(usize, ServiceError)> = None;
+        let mut global = Vec::with_capacity(sorted.len());
+        for (k, &(id, at)) in sorted.iter().enumerate() {
+            let error = match self.position(ClientId(id)) {
+                None => ServiceError::UnknownClient(ClientId(id)),
+                Some(_) if k > 0 && sorted[k - 1].0 == id => {
+                    ServiceError::DuplicateRemoval(ClientId(id))
                 }
+                Some(position) => {
+                    global.push(position);
+                    continue;
+                }
+            };
+            if offender.as_ref().is_none_or(|&(first, _)| at < first) {
+                offender = Some((at, error));
             }
         }
-        for (global, id) in self.order.iter().enumerate() {
-            self.index.get_mut(&id.0).expect("kept id indexed").global = global;
+        if let Some((_, error)) = offender {
+            return Err(error);
+        }
+        let doomed: Vec<u64> = sorted.into_iter().map(|(id, _)| id).collect();
+        self.version += 1;
+        // Compact each touched shard: group the doomed ids by shard (a
+        // stable sort keeps them ascending within a group) and find each
+        // in its shard's ascending ids.
+        let mut by_shard: Vec<(usize, u64)> =
+            doomed.iter().map(|&id| (self.route(id), id)).collect();
+        by_shard.sort_by_key(|&(shard, _)| shard);
+        for group in by_shard.chunk_by(|a, b| a.0 == b.0) {
+            let s = group[0].0;
+            let shard = &mut self.shards[s];
+            shard.cache = None;
+            self.shard_versions[s] = self.version;
+            let local: Vec<usize> = group
+                .iter()
+                .map(|&(_, id)| {
+                    shard
+                        .ids
+                        .binary_search(&ClientId(id))
+                        .expect("live id is in its shard")
+                })
+                .collect();
+            remove_positions(&mut shard.ids, &local);
+            remove_positions(&mut shard.profiles, &local);
+            remove_positions(&mut shard.availability, &local);
+        }
+        remove_positions(&mut self.order, &global);
+        // Clear the departed ids' bits, dropping blocks left empty.
+        for &id in &doomed {
+            let (key, bit) = block_of(id);
+            let block = self.blocks.get_mut(&key).expect("live id has a block");
+            block.live &= !bit;
+            if block.live == 0 {
+                self.blocks.remove(&key);
+            }
+        }
+        // Every departure below a block moved its live ids down one place.
+        for (&key, block) in &mut self.blocks {
+            block.first -= doomed.partition_point(|&id| id < key * ROUTE_BLOCK) as u32;
         }
         Ok(ids.len())
     }
@@ -346,15 +449,20 @@ impl ShardedClientStore {
         }
         let mut changed = false;
         let mut touched = vec![false; self.shards.len()];
+        let mut cursor = vec![0usize; self.shards.len()];
         for (id, &pattern) in self.order.iter().zip(model.patterns()) {
-            let slot = self.index[&id.0];
-            let record = &mut self.shards[slot.shard].records[slot.local];
-            if record.params.availability != pattern {
-                record.params.availability = pattern;
+            let s = self.route(id.0);
+            let local = cursor[s];
+            cursor[s] += 1;
+            let shard = &mut self.shards[s];
+            debug_assert_eq!(shard.ids[local], *id);
+            let current = &mut shard.availability[local];
+            if *current != pattern {
+                *current = pattern;
                 changed = true;
                 if track_dirty {
-                    self.shards[slot.shard].cache = None;
-                    touched[slot.shard] = true;
+                    shard.cache = None;
+                    touched[s] = true;
                 }
             }
         }
@@ -380,8 +488,8 @@ impl ShardedClientStore {
                 continue;
             }
             stats.dirty_shards += 1;
-            stats.rebuilt_columns += shard.records.len();
-            let m = shard.records.len();
+            stats.rebuilt_columns += shard.ids.len();
+            let m = shard.ids.len();
             let mut cache = ShardCache {
                 rate: Vec::with_capacity(m),
                 included: Vec::with_capacity(m),
@@ -391,10 +499,9 @@ impl ShardedClientStore {
                 value: Vec::with_capacity(m),
                 q_max_eff: Vec::with_capacity(m),
             };
-            for record in &shard.records {
-                let p = &record.params;
+            for (p, pattern) in shard.profiles.iter().zip(&shard.availability) {
                 let rate = if availability_aware {
-                    p.availability.availability_rate()
+                    pattern.availability_rate()
                 } else {
                     1.0
                 };
@@ -404,7 +511,7 @@ impl ShardedClientStore {
                 let included = rate > 0.0 && p.q_max * rate > q_min;
                 cache.rate.push(rate);
                 cache.included.push(included);
-                cache.w_raw.push(p.data_size);
+                cache.w_raw.push(p.weight);
                 cache.g2.push(p.g_squared);
                 cache.cost_eff.push(if included {
                     p.cost / (rate * rate)
@@ -441,20 +548,31 @@ impl ShardedClientStore {
         let mut value = Vec::with_capacity(n);
         let mut q_max = Vec::with_capacity(n);
         let mut seg_keys = Vec::with_capacity(n);
+        let caches: Vec<&ShardCache> = self
+            .shards
+            .iter()
+            .map(|shard| {
+                shard
+                    .cache
+                    .as_ref()
+                    .expect("ensure_caches runs before assemble")
+            })
+            .collect();
+        let mut cursor = vec![0usize; caches.len()];
         for id in &self.order {
-            let slot = self.index[&id.0];
-            let cache = self.shards[slot.shard]
-                .cache
-                .as_ref()
-                .expect("ensure_caches runs before assemble");
-            let inc = cache.included[slot.local];
+            let s = self.route(id.0);
+            let local = cursor[s];
+            cursor[s] += 1;
+            debug_assert_eq!(self.shards[s].ids[local], *id);
+            let cache = caches[s];
+            let inc = cache.included[local];
             included.push(inc);
             if inc {
-                w_raw.push(cache.w_raw[slot.local]);
-                g2.push(cache.g2[slot.local]);
-                cost.push(cache.cost_eff[slot.local]);
-                value.push(cache.value[slot.local]);
-                q_max.push(cache.q_max_eff[slot.local]);
+                w_raw.push(cache.w_raw[local]);
+                g2.push(cache.g2[local]);
+                cost.push(cache.cost_eff[local]);
+                value.push(cache.value[local]);
+                q_max.push(cache.q_max_eff[local]);
                 seg_keys.push(((id.0 / ROUTE_BLOCK) % INDEX_SEGMENTS as u64) as u32);
             }
         }
@@ -521,9 +639,10 @@ impl ShardedClientStore {
     }
 
     #[cfg(test)]
-    fn record(&self, id: ClientId) -> Option<&ClientRecord> {
-        let slot = self.index.get(&id.0)?;
-        Some(&self.shards[slot.shard].records[slot.local])
+    fn profile(&self, id: ClientId) -> Option<&ClientProfile> {
+        let shard = &self.shards[self.route(id.0)];
+        let local = shard.ids.binary_search(&id).ok()?;
+        Some(&shard.profiles[local])
     }
 }
 
@@ -585,7 +704,7 @@ mod tests {
         assert_eq!(store.len(), 2);
         assert_eq!(store.remove(&[]).unwrap(), 0);
         // Records survive compaction intact.
-        assert_eq!(store.record(ids[2]).unwrap().params.data_size, 3.0);
+        assert_eq!(store.profile(ids[2]).unwrap().weight, 3.0);
     }
 
     #[test]
@@ -764,5 +883,149 @@ mod tests {
             empty.assemble(1),
             Err(ServiceError::NoPriceableClients { registered: 1 })
         ));
+    }
+
+    #[test]
+    fn remove_names_the_first_offender_and_mutates_nothing() {
+        let mut store = ShardedClientStore::new(3);
+        let ids = store
+            .add((0..70).map(|k| params(1.0 + k as f64)).collect())
+            .unwrap();
+        let a = ids[40];
+        let unknown = ClientId(1_000);
+        let ids_before = store.ids().to_vec();
+        let version = store.version();
+        let shard_versions = store.shard_versions().to_vec();
+        for (batch, expected) in [
+            (vec![a, a, unknown], ServiceError::DuplicateRemoval(a)),
+            (vec![unknown, a, a], ServiceError::UnknownClient(unknown)),
+        ] {
+            assert_eq!(store.remove(&batch), Err(expected), "batch {batch:?}");
+            assert_eq!(store.ids(), &ids_before[..]);
+            assert_eq!(store.version(), version);
+            assert_eq!(store.shard_versions(), &shard_versions[..]);
+            for (at, &id) in ids_before.iter().enumerate() {
+                assert_eq!(store.position(id), Some(at));
+            }
+        }
+    }
+
+    /// A deterministic stream for the churn property test (splitmix64).
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Check the store against a plain `Vec` model of its live clients.
+    fn check_against_model(
+        store: &mut ShardedClientStore,
+        model: &[(ClientId, ClientParams)],
+    ) -> Result<(), proptest::TestCaseError> {
+        use fedfl_core::population::{ClientProfile, Population};
+        use proptest::prelude::*;
+        let ids: Vec<ClientId> = model.iter().map(|&(id, _)| id).collect();
+        prop_assert_eq!(store.ids(), &ids[..]);
+        prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids ascend");
+        for id in (0..store.next_id).map(ClientId) {
+            prop_assert_eq!(store.position(id), ids.binary_search(&id).ok());
+        }
+        let mut live_blocks: Vec<u64> = ids.iter().map(|id| id.0 / ROUTE_BLOCK).collect();
+        live_blocks.dedup();
+        prop_assert_eq!(store.blocks.len(), live_blocks.len());
+        // The from-scratch view: availability-aware effective profiles of
+        // the included clients, normalised by `Population::from_raw`.
+        let mut included = Vec::new();
+        let mut profiles = Vec::new();
+        for (_, p) in model {
+            let rate = p.availability.availability_rate();
+            let inc = rate > 0.0 && p.q_max * rate > Q_MIN;
+            included.push(inc);
+            if inc {
+                profiles.push(ClientProfile {
+                    cost: p.cost / (rate * rate),
+                    q_max: p.q_max * rate,
+                    ..p.raw_profile()
+                });
+            }
+        }
+        store.ensure_caches(true, Q_MIN);
+        for solve_shards in [1, 3] {
+            let assembled = store.assemble(solve_shards);
+            if profiles.is_empty() {
+                prop_assert!(assembled.is_err());
+                continue;
+            }
+            let assembled = assembled.unwrap();
+            let reference = Population::from_raw(profiles.clone()).unwrap().columns();
+            prop_assert_eq!(&assembled.included, &included);
+            prop_assert_eq!(assembled.population.concat(), reference);
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn store_invariants_hold_under_churn(
+            ops in proptest::collection::vec((0u8..3, 0usize..70, 0u64..u64::MAX), 1..24),
+        ) {
+            let patterns = [
+                AvailabilityPattern::AlwaysOn,
+                AvailabilityPattern::Random { probability: 0.5 },
+                AvailabilityPattern::Random { probability: 0.25 },
+                AvailabilityPattern::Random { probability: 1e-12 },
+            ];
+            for shard_count in [1, 3, 256] {
+                let mut store = ShardedClientStore::new(shard_count);
+                let mut model: Vec<(ClientId, ClientParams)> = Vec::new();
+                for &(kind, count, salt) in &ops {
+                    let mut rng = salt;
+                    match kind {
+                        0 => {
+                            let batch: Vec<ClientParams> = (0..count)
+                                .map(|_| params(1.0 + (mix(&mut rng) % 100) as f64))
+                                .collect();
+                            let ids = store.add(batch.clone()).unwrap();
+                            model.extend(ids.into_iter().zip(batch));
+                        }
+                        1 => {
+                            // `count` distinct live clients, in shuffled
+                            // batch order.
+                            let mut picks: Vec<usize> = (0..model.len()).collect();
+                            for i in (1..picks.len()).rev() {
+                                picks.swap(i, (mix(&mut rng) % (i as u64 + 1)) as usize);
+                            }
+                            picks.truncate(count.min(model.len()));
+                            let doomed: Vec<ClientId> = picks.iter().map(|&i| model[i].0).collect();
+                            proptest::prop_assert_eq!(store.remove(&doomed).unwrap(), doomed.len());
+                            model.retain(|(id, _)| !doomed.contains(id));
+                        }
+                        _ if !model.is_empty() => {
+                            for (_, p) in &mut model {
+                                if mix(&mut rng).is_multiple_of(4) {
+                                    p.availability = patterns[(mix(&mut rng) % 4) as usize];
+                                }
+                            }
+                            let avail = AvailabilityModel::new(
+                                model.iter().map(|(_, p)| p.availability).collect(),
+                            )
+                            .unwrap();
+                            store.set_availability(&avail, true).unwrap();
+                        }
+                        // An availability model needs at least one client.
+                        _ => {}
+                    }
+                    check_against_model(&mut store, &model)?;
+                }
+                let all: Vec<ClientId> = model.iter().map(|&(id, _)| id).collect();
+                store.remove(&all).unwrap();
+                proptest::prop_assert!(store.is_empty());
+                proptest::prop_assert_eq!(store.blocks.len(), 0);
+            }
+        }
     }
 }
