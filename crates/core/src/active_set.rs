@@ -17,10 +17,10 @@
 //! ```
 //!
 //! (the same expression [`crate::server`]'s `saturation_t` maximises).
-//! Sorting clients by each threshold — O(N log N) per cold build — and
-//! holding prefix sums of the per-client spend constants and interior
-//! moments in threshold order turns each probe into binary searches plus
-//! an O(1) closed-form evaluation:
+//! Sorting clients by each threshold — a stable radix argsort, O(N) per
+//! cold build — and holding prefix sums of the per-client spend constants
+//! and interior moments in threshold order turns each probe into binary
+//! searches plus an O(1) closed-form evaluation:
 //!
 //! * floored clients (`t <= t_entry`) contribute the constant
 //!   `2c·q_min² − v·(α/R)·a²G²/q_min` — a suffix sum in entry order;
@@ -37,13 +37,20 @@
 //!
 //! # Two-level segmented layout
 //!
-//! The index is a list of [`IndexSegment`]s — each one sorted threshold
-//! run (entry and saturation order) with its own prefix-summed spend
-//! constants and interior moments — walked in a fixed segment order by
-//! every probe: per segment a boundary check (the "directory scan":
-//! first/last threshold short-circuit all-floored / all-saturated
+//! The index is a list of [`IndexSegment`]s walked in a fixed segment
+//! order by every probe: per segment a boundary check (the "directory
+//! scan": first/last threshold short-circuit all-floored / all-saturated
 //! segments), an in-segment binary search otherwise, and one closed-form
 //! interior evaluation over the accumulated moments at the end.
+//!
+//! A segment is flat. Its members are one `Vec` of unit rows in insertion
+//! order, each row holding everything derived from one client (`v`, the
+//! threshold slopes `e`/`f`, the floor and cap spend constants, the eight
+//! moments), so a key evaluation or a prefix fold touches one record.
+//! Each of its two sorted views (entry and saturation order) is a
+//! permutation plus one prefix record per slot — `[c0, c1, moments…]`,
+//! each column the ascending left fold over the permutation — filled in
+//! one pass, so a probe reads all ten running sums of a slot together.
 //!
 //! Segments are keyed: [`ActiveSetIndex::build_keyed`] buckets clients by
 //! a caller-chosen stable key, preserving global insertion order within
@@ -58,8 +65,8 @@
 //! * **Id-block keys** (the pricing service, aligned with its store
 //!   shards): a churn batch that only touches some buckets re-sorts
 //!   **only those segments** — [`ActiveSetIndex::patch`] rebuilds dirty
-//!   segments in O(dirty·(N/S)·log(N/S)) sort work and revalidates clean
-//!   ones in O(N/S) each, producing an index **bit-identical** to a cold
+//!   segments in O(dirty·N/S) work and revalidates clean ones in O(N/S)
+//!   each, producing an index **bit-identical** to a cold
 //!   [`ActiveSetIndex::build_keyed`] over the same rows.
 //!
 //! # Scale factorisation (why patching survives weight renormalisation)
@@ -80,7 +87,7 @@
 //! A, D    = A0·σ^{−2/3}, D0·σ^{−2/3}
 //! ```
 //!
-//! so every prefix array is σ-independent and the σ corrections apply
+//! so every prefix record is σ-independent and the σ corrections apply
 //! once per probe. A weight drift can still *reorder* thresholds inside
 //! a clean segment (keys are `v + σ·e`, and lines cross); the patch
 //! validates each clean segment's stored permutation is still *the*
@@ -99,7 +106,7 @@
 
 use crate::population::PopulationColumns;
 use fedfl_num::parallel::{resolve_threads, DEFAULT_CHUNK};
-use fedfl_num::prefix::{exclusive_prefix_sums, gather, sort_permutation};
+use fedfl_num::prefix::sort_permutation;
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
@@ -169,32 +176,44 @@ pub struct PatchStats {
     pub reused: usize,
 }
 
+/// Width of one prefix record: the two spend constants, then the
+/// interior moments.
+const RECORD: usize = 2 + MOMENTS;
+
 /// One sorted view of a segment: the stable argsort permutation of an
-/// on-the-fly-evaluated threshold key, with exclusive prefix sums of the
-/// spend constants and interior moments gathered in that order.
+/// on-the-fly-evaluated threshold key, with one exclusive prefix record
+/// per slot holding the spend constants and interior moments summed in
+/// that order.
 #[derive(Debug, Clone, PartialEq)]
 struct SortedView {
     /// Sorted slot → row index within the segment (insertion order).
     perm: Vec<u32>,
-    /// Prefix sums of the σ-free spend constant (`F0` / `S0`).
-    c0_prefix: Vec<f64>,
-    /// Prefix sums of the `/σ` spend constant (`F1` / `S1`).
-    c1_prefix: Vec<f64>,
-    /// Prefix sums of the unit interior moments.
-    moment_prefix: [Vec<f64>; MOMENTS],
+    /// `prefix[j]` sums the rows at slots `..j`, column by column in
+    /// ascending slot order: `[c0, c1, moments…]`, where `c0`/`c1` are
+    /// the σ-free and `/σ` spend constants (`F0`/`F1` or `S0`/`S1`).
+    prefix: Vec<[f64; RECORD]>,
 }
 
 impl SortedView {
-    fn build(keys: &[f64], c0: &[f64], c1: &[f64], moments: &[Vec<f64>; MOMENTS]) -> Self {
+    /// Sort `keys` and fold every row's record in one pass over the
+    /// permutation. Each column is its own ascending left fold from
+    /// `0.0`, so the bits match folding the columns one at a time.
+    fn build(rows: &[UnitRow], keys: &[f64], constants: impl Fn(&UnitRow) -> [f64; 2]) -> Self {
         let perm = sort_permutation(keys);
-        SortedView {
-            c0_prefix: exclusive_prefix_sums(&gather(c0, &perm)),
-            c1_prefix: exclusive_prefix_sums(&gather(c1, &perm)),
-            moment_prefix: std::array::from_fn(|k| {
-                exclusive_prefix_sums(&gather(&moments[k], &perm))
-            }),
-            perm,
-        }
+        let mut prefix = Vec::with_capacity(perm.len() + 1);
+        let mut acc = [0.0f64; RECORD];
+        prefix.push(acc);
+        prefix.extend(perm.iter().map(|&row| {
+            let row = &rows[row as usize];
+            let [c0, c1] = constants(row);
+            acc[0] += c0;
+            acc[1] += c1;
+            for (slot, &m) in acc[2..].iter_mut().zip(&row.moments) {
+                *slot += m;
+            }
+            acc
+        }));
+        SortedView { perm, prefix }
     }
 
     /// Whether `perm` is still *the* stable argsort of the evaluated key
@@ -221,100 +240,81 @@ impl SortedView {
     }
 }
 
-/// Scale-free per-row unit values of one segment, in segment insertion
-/// order (a stable subsequence of the global client order).
-#[derive(Debug, Clone, PartialEq, Default)]
-struct UnitColumns {
-    v: Vec<f64>,
-    e: Vec<f64>,
-    f: Vec<f64>,
-    f0: Vec<f64>,
-    f1: Vec<f64>,
-    s0: Vec<f64>,
-    s1: Vec<f64>,
-    moments: [Vec<f64>; MOMENTS],
-    finite: bool,
+/// Scale-free unit values of one row: its value, the threshold slopes,
+/// the floor and cap spend constants, and the interior moments.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct UnitRow {
+    v: f64,
+    e: f64,
+    f: f64,
+    f0: f64,
+    f1: f64,
+    s0: f64,
+    s1: f64,
+    moments: [f64; MOMENTS],
 }
 
-impl UnitColumns {
-    fn with_capacity(n: usize) -> Self {
-        UnitColumns {
-            v: Vec::with_capacity(n),
-            e: Vec::with_capacity(n),
-            f: Vec::with_capacity(n),
-            f0: Vec::with_capacity(n),
-            f1: Vec::with_capacity(n),
-            s0: Vec::with_capacity(n),
-            s1: Vec::with_capacity(n),
-            moments: std::array::from_fn(|_| Vec::with_capacity(n)),
-            finite: true,
-        }
-    }
-
-    /// Derive one row's unit values. Columns are assumed already
+impl UnitRow {
+    /// Derive row `i`'s unit values. Columns are assumed already
     /// validated by the solver entry points (positive `w²G²`/`cost`,
     /// `q_max > q_min`); degenerate floating values don't panic — they
-    /// mark the segment non-finite, which makes the fast solver fall
-    /// back to the exact path.
-    fn push_row(&mut self, cols: &IndexColumns<'_>, i: usize, aor: f64, q_min: f64) {
+    /// fail [`Self::is_finite`], which marks the segment non-finite and
+    /// makes the fast solver fall back to the exact path.
+    fn new(cols: &IndexColumns<'_>, i: usize, aor: f64, q_min: f64) -> Self {
         let w2g2 = cols.w2g2[i];
         let cost = cols.cost[i];
         let value = cols.value[i];
         let q_max = cols.q_max[i];
         let ka = (aor / 4.0) * w2g2;
-        let e = cost * q_min.powi(3) / ka;
-        let f = cost * q_max.powi(3) / ka;
-        let f0 = 2.0 * cost * q_min * q_min;
-        let f1 = value * aor * w2g2 / q_min;
-        let s0 = 2.0 * cost * q_max * q_max;
-        let s1 = value * aor * w2g2 / q_max;
         let a0 = 2.0 * cost.cbrt() * (ka * ka).cbrt();
         let d0 = value * aor * w2g2 * (cost / ka).cbrt();
-        let moments = [
-            a0,
-            a0 * value,
-            a0 * value * value,
-            a0 * value * value * value,
-            d0,
-            d0 * value,
-            d0 * value * value,
-            d0 * value * value * value,
-        ];
-        self.finite = self.finite
-            && e.is_finite()
-            && f.is_finite()
-            && f0.is_finite()
-            && f1.is_finite()
-            && s0.is_finite()
-            && s1.is_finite()
-            && moments.iter().all(|m| m.is_finite());
-        self.v.push(value);
-        self.e.push(e);
-        self.f.push(f);
-        self.f0.push(f0);
-        self.f1.push(f1);
-        self.s0.push(s0);
-        self.s1.push(s1);
-        for (k, m) in moments.into_iter().enumerate() {
-            self.moments[k].push(m);
+        UnitRow {
+            v: value,
+            e: cost * q_min.powi(3) / ka,
+            f: cost * q_max.powi(3) / ka,
+            f0: 2.0 * cost * q_min * q_min,
+            f1: value * aor * w2g2 / q_min,
+            s0: 2.0 * cost * q_max * q_max,
+            s1: value * aor * w2g2 / q_max,
+            moments: [
+                a0,
+                a0 * value,
+                a0 * value * value,
+                a0 * value * value * value,
+                d0,
+                d0 * value,
+                d0 * value * value,
+                d0 * value * value * value,
+            ],
         }
     }
-}
 
-/// The entry threshold `v + σ·e`, evaluated on the fly so stored segment
-/// data stays σ-free. `σ = 1` makes the multiply bit-neutral.
-#[inline]
-fn entry_key(v: f64, e: f64, scale: f64) -> f64 {
-    v + scale * e
-}
+    /// Whether every derived value (not `v`, an input) is finite.
+    fn is_finite(&self) -> bool {
+        self.e.is_finite()
+            && self.f.is_finite()
+            && self.f0.is_finite()
+            && self.f1.is_finite()
+            && self.s0.is_finite()
+            && self.s1.is_finite()
+            && self.moments.iter().all(|m| m.is_finite())
+    }
 
-/// The saturation threshold `max(v + σ·f, t_entry)`. `q_max > q_min`
-/// makes it exceed the entry threshold analytically, but a
-/// value-dominated sum can round them equal; the max keeps the invariant
-/// `t_entry <= t_sat` the lookup relies on.
-#[inline]
-fn sat_key(v: f64, e: f64, f: f64, scale: f64) -> f64 {
-    (v + scale * f).max(entry_key(v, e, scale))
+    /// The entry threshold `v + σ·e`, evaluated on the fly so stored
+    /// segment data stays σ-free. `σ = 1` makes the multiply bit-neutral.
+    #[inline]
+    fn entry_key(&self, scale: f64) -> f64 {
+        self.v + scale * self.e
+    }
+
+    /// The saturation threshold `max(v + σ·f, t_entry)`. `q_max > q_min`
+    /// makes it exceed the entry threshold analytically, but a
+    /// value-dominated sum can round them equal; the max keeps the
+    /// invariant `t_entry <= t_sat` the lookup relies on.
+    #[inline]
+    fn sat_key(&self, scale: f64) -> f64 {
+        (self.v + scale * self.f).max(self.entry_key(scale))
+    }
 }
 
 /// One segment of the two-level index: scale-free unit rows plus both
@@ -322,8 +322,9 @@ fn sat_key(v: f64, e: f64, f: f64, scale: f64) -> f64 {
 /// clean segments without copying.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexSegment {
-    len: usize,
-    unit: UnitColumns,
+    /// Unit rows in segment insertion order (a stable subsequence of the
+    /// global client order).
+    rows: Vec<UnitRow>,
     entry: SortedView,
     sat: SortedView,
     /// Unit values *and* the evaluated keys at the build scale are
@@ -333,23 +334,18 @@ pub struct IndexSegment {
 }
 
 impl IndexSegment {
-    fn from_unit(unit: UnitColumns, scale: f64) -> Self {
-        let n = unit.v.len();
-        let mut entry_keys = Vec::with_capacity(n);
-        let mut sat_keys = Vec::with_capacity(n);
-        let mut finite = unit.finite;
-        for i in 0..n {
-            let ek = entry_key(unit.v[i], unit.e[i], scale);
-            let sk = sat_key(unit.v[i], unit.e[i], unit.f[i], scale);
-            finite = finite && ek.is_finite() && sk.is_finite();
-            entry_keys.push(ek);
-            sat_keys.push(sk);
-        }
-        let entry = SortedView::build(&entry_keys, &unit.f0, &unit.f1, &unit.moments);
-        let sat = SortedView::build(&sat_keys, &unit.s0, &unit.s1, &unit.moments);
+    fn from_rows(rows: Vec<UnitRow>, scale: f64) -> Self {
+        let entry_keys: Vec<f64> = rows.iter().map(|row| row.entry_key(scale)).collect();
+        let sat_keys: Vec<f64> = rows.iter().map(|row| row.sat_key(scale)).collect();
+        let finite = rows.iter().all(UnitRow::is_finite)
+            && entry_keys
+                .iter()
+                .chain(&sat_keys)
+                .all(|key| key.is_finite());
+        let entry = SortedView::build(&rows, &entry_keys, |r| [r.f0, r.f1]);
+        let sat = SortedView::build(&rows, &sat_keys, |r| [r.s0, r.s1]);
         IndexSegment {
-            len: n,
-            unit,
+            rows,
             entry,
             sat,
             finite,
@@ -364,38 +360,35 @@ impl IndexSegment {
         q_min: f64,
         scale: f64,
     ) -> Self {
-        let mut unit = UnitColumns::with_capacity(members.len());
-        for &i in members {
-            unit.push_row(cols, i as usize, aor, q_min);
-        }
-        Self::from_unit(unit, scale)
+        let rows = members
+            .iter()
+            .map(|&i| UnitRow::new(cols, i as usize, aor, q_min))
+            .collect();
+        Self::from_rows(rows, scale)
     }
 
     /// Re-sort the stored unit rows at a new scale (the "repair" path —
     /// same rows, drifted threshold order).
     fn resorted(&self, scale: f64) -> Self {
-        Self::from_unit(self.unit.clone(), scale)
+        Self::from_rows(self.rows.clone(), scale)
     }
 
     /// Whether both stored sort orders are still the stable argsorts of
     /// the on-the-fly keys at `scale` — the clean-segment reuse proof.
     fn is_sorted_at(&self, scale: f64) -> bool {
-        let unit = &self.unit;
-        self.entry
-            .is_stable_sorted(|i| entry_key(unit.v[i], unit.e[i], scale))
-            && self
-                .sat
-                .is_stable_sorted(|i| sat_key(unit.v[i], unit.e[i], unit.f[i], scale))
+        let rows = &self.rows;
+        self.entry.is_stable_sorted(|i| rows[i].entry_key(scale))
+            && self.sat.is_stable_sorted(|i| rows[i].sat_key(scale))
     }
 
     /// Number of clients in the segment.
     pub fn len(&self) -> usize {
-        self.len
+        self.rows.len()
     }
 
     /// Whether the segment holds no clients.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.rows.is_empty()
     }
 
     /// Count of rows with entry threshold strictly below `t` at `scale`
@@ -404,40 +397,30 @@ impl IndexSegment {
     /// First/last boundary checks short-circuit all-floored and
     /// all-past-entry segments — the directory half of a probe.
     fn count_entry_below(&self, t: f64, scale: f64) -> usize {
-        let unit = &self.unit;
-        self.count_below(&self.entry, t, |i| entry_key(unit.v[i], unit.e[i], scale))
+        self.count_below(&self.entry, t, |row| row.entry_key(scale))
     }
 
     /// Count of rows with saturation threshold strictly below `t`.
     fn count_sat_below(&self, t: f64, scale: f64) -> usize {
-        let unit = &self.unit;
-        self.count_below(&self.sat, t, |i| {
-            sat_key(unit.v[i], unit.e[i], unit.f[i], scale)
-        })
+        self.count_below(&self.sat, t, |row| row.sat_key(scale))
     }
 
-    fn count_below(&self, view: &SortedView, t: f64, eval: impl Fn(usize) -> f64) -> usize {
-        let below = |slot: usize| eval(view.perm[slot] as usize).total_cmp(&t) == Ordering::Less;
-        if self.len == 0 || !below(0) {
+    fn count_below(&self, view: &SortedView, t: f64, eval: impl Fn(&UnitRow) -> f64) -> usize {
+        let below = |row: u32| eval(&self.rows[row as usize]).total_cmp(&t) == Ordering::Less;
+        let len = self.rows.len();
+        if len == 0 || !below(view.perm[0]) {
             return 0;
         }
-        if below(self.len - 1) {
-            return self.len;
+        if below(view.perm[len - 1]) {
+            return len;
         }
-        view.perm
-            .partition_point(|&row| eval(row as usize).total_cmp(&t) == Ordering::Less)
+        view.perm.partition_point(|&row| below(row))
     }
 
     /// Largest evaluated saturation threshold (`None` when empty).
     fn top_sat_key(&self, scale: f64) -> Option<f64> {
-        let slot = self.len.checked_sub(1)?;
-        let i = self.sat.perm[slot] as usize;
-        Some(sat_key(
-            self.unit.v[i],
-            self.unit.e[i],
-            self.unit.f[i],
-            scale,
-        ))
+        let &row = self.sat.perm.last()?;
+        Some(self.rows[row as usize].sat_key(scale))
     }
 }
 
@@ -459,7 +442,7 @@ pub struct ActiveSetIndex {
 
 impl ActiveSetIndex {
     fn assemble(segments: Vec<Arc<IndexSegment>>, aor: f64, q_min: f64, scale: f64) -> Self {
-        let len = segments.iter().map(|s| s.len).sum();
+        let len = segments.iter().map(|s| s.len()).sum();
         let scale_ok = scale.is_finite() && scale > 0.0;
         let finite = scale_ok && segments.iter().all(|s| s.finite);
         let cbrt = scale.cbrt();
@@ -527,8 +510,8 @@ impl ActiveSetIndex {
     /// from its per-shard store version counters; flagging a segment
     /// dirty is always safe, missing one is not.
     ///
-    /// Sort work is O(Σ_dirty len·log len) instead of the cold build's
-    /// O(N log N); clean segments cost one O(len) validation scan.
+    /// Rebuild work is O(Σ_dirty len) instead of the cold build's O(N);
+    /// clean segments cost one O(len) validation scan.
     ///
     /// # Panics
     ///
@@ -632,8 +615,9 @@ impl ActiveSetIndex {
         let mut s0 = 0.0f64;
         let mut s1 = 0.0f64;
         for seg in &self.segments {
-            s0 += seg.sat.c0_prefix[seg.len];
-            s1 += seg.sat.c1_prefix[seg.len];
+            let total = &seg.sat.prefix[seg.len()];
+            s0 += total[0];
+            s1 += total[1];
         }
         s0 - s1 * self.inv_scale
     }
@@ -643,8 +627,9 @@ impl ActiveSetIndex {
         let mut f0 = 0.0f64;
         let mut f1 = 0.0f64;
         for seg in &self.segments {
-            f0 += seg.entry.c0_prefix[seg.len];
-            f1 += seg.entry.c1_prefix[seg.len];
+            let total = &seg.entry.prefix[seg.len()];
+            f0 += total[0];
+            f1 += total[1];
         }
         f0 - f1 * self.inv_scale
     }
@@ -668,20 +653,22 @@ impl ActiveSetIndex {
         let mut m = [0.0f64; MOMENTS];
         let mut any_interior = false;
         for seg in &self.segments {
-            if seg.len == 0 {
+            if seg.is_empty() {
                 continue;
             }
             let past_entry = seg.count_entry_below(t, scale);
             let saturated = seg.count_sat_below(t, scale);
-            floored0 += seg.entry.c0_prefix[seg.len] - seg.entry.c0_prefix[past_entry];
-            floored1 += seg.entry.c1_prefix[seg.len] - seg.entry.c1_prefix[past_entry];
-            sat0 += seg.sat.c0_prefix[saturated];
-            sat1 += seg.sat.c1_prefix[saturated];
+            let entry_total = &seg.entry.prefix[seg.len()];
+            let entry_past = &seg.entry.prefix[past_entry];
+            let sat_past = &seg.sat.prefix[saturated];
+            floored0 += entry_total[0] - entry_past[0];
+            floored1 += entry_total[1] - entry_past[1];
+            sat0 += sat_past[0];
+            sat1 += sat_past[1];
             if past_entry > saturated {
                 any_interior = true;
                 for (k, slot) in m.iter_mut().enumerate() {
-                    *slot += seg.entry.moment_prefix[k][past_entry]
-                        - seg.sat.moment_prefix[k][saturated];
+                    *slot += entry_past[2 + k] - sat_past[2 + k];
                 }
             }
         }
@@ -724,8 +711,8 @@ impl ActiveSetIndex {
     pub fn probe_cost(&self) -> u64 {
         self.segments
             .iter()
-            .filter(|s| s.len > 0)
-            .map(|s| 2 * u64::from(u64::BITS - (s.len as u64).leading_zeros()))
+            .filter(|s| !s.is_empty())
+            .map(|s| 2 * u64::from(u64::BITS - (s.len() as u64).leading_zeros()))
             .sum::<u64>()
             + 1
     }
@@ -1085,6 +1072,128 @@ mod tests {
         assert_eq!(restats.reused + restats.repaired, 8);
         let cold_rescaled = ActiveSetIndex::build_keyed(&unit, &keys, 8, aor(), Q_MIN, 4.0, 1);
         assert_eq!(rescaled, cold_rescaled);
+    }
+
+    #[test]
+    fn model_probe_bits_are_pinned() {
+        // FNV-1a over the `spend(t)` bits on a 64-point geometric grid
+        // (`t = hi·0.7^k`, from the bracket top down past the client
+        // values, so every moment of the interior series shows in the
+        // bits) of a seeded 20k chunk-keyed index. The constant was
+        // recorded on the earlier column-per-field layout with a
+        // comparator argsort; a layout or sort change must leave the
+        // model bits alone.
+        let p = Population::synthesize(20_000, &PopulationSpec::table1_like(), 2023).unwrap();
+        let index = chunk_index(&p.columns(), 1);
+        let hi = index.bracket_hi();
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for k in 0..64 {
+            let t = hi * 0.7f64.powi(k);
+            for byte in index.spend(t).to_bits().to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(format!("{hash:016x}"), "ecc197d6e95167dc");
+    }
+
+    #[test]
+    fn prefix_records_match_a_left_fold_of_each_column() {
+        // Every view's `prefix[j]` is, column by column, the ascending
+        // left fold of the rows at slots `..j` — the same bits as folding
+        // each column on its own.
+        let p = Population::synthesize(700, &PopulationSpec::table1_like(), 31).unwrap();
+        let cols = p.columns();
+        let keys: Vec<u32> = (0..cols.len() as u32).map(|i| (i / 16) % 5).collect();
+        let unit = IndexColumns::from_population(&cols);
+        let index = ActiveSetIndex::build_keyed(&unit, &keys, 5, aor(), Q_MIN, 1.0, 1);
+        for seg in &index.segments {
+            for (view, is_entry) in [(&seg.entry, true), (&seg.sat, false)] {
+                assert_eq!(view.prefix.len(), seg.len() + 1);
+                let record = |r: &UnitRow| {
+                    let mut record = [0.0f64; RECORD];
+                    record[..2].copy_from_slice(&if is_entry {
+                        [r.f0, r.f1]
+                    } else {
+                        [r.s0, r.s1]
+                    });
+                    record[2..].copy_from_slice(&r.moments);
+                    record
+                };
+                for column in 0..RECORD {
+                    let mut acc = 0.0f64;
+                    for (j, &row) in view.perm.iter().enumerate() {
+                        assert_eq!(view.prefix[j][column].to_bits(), acc.to_bits());
+                        acc += record(&seg.rows[row as usize])[column];
+                    }
+                    assert_eq!(view.prefix[seg.len()][column].to_bits(), acc.to_bits());
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn patch_equals_a_cold_build(
+            seed in 0u64..1_000,
+            dirty_mask in proptest::any::<u8>(),
+            edits in proptest::collection::vec((0usize..600, 0u8..5, 0.25f64..4.0), 0..48),
+            drift in 2.0f64..16.0,
+            shrink in proptest::any::<bool>(),
+        ) {
+            const SEGMENTS: usize = 8;
+            let p = Population::synthesize(600, &PopulationSpec::table1_like(), seed).unwrap();
+            let base = p.columns();
+            let keys: Vec<u32> = (0..base.len() as u32).map(|i| (i / 24) % SEGMENTS as u32).collect();
+            let index = ActiveSetIndex::build_keyed(
+                &IndexColumns::from_population(&base), &keys, SEGMENTS, aor(), Q_MIN, 1.0, 1,
+            );
+            let dirty: Vec<bool> = (0..SEGMENTS).map(|k| dirty_mask & (1 << k) != 0).collect();
+            // Edit rows of dirty segments only: scale one input column,
+            // or drop the row (kind 4) — clean segments keep their rows.
+            let mut cols = base.clone();
+            let mut keep = vec![true; base.len()];
+            for &(row, kind, factor) in &edits {
+                if !dirty[keys[row] as usize] {
+                    continue;
+                }
+                match kind {
+                    0 => cols.a2g2[row] *= factor,
+                    1 => cols.cost[row] *= factor,
+                    2 => cols.value[row] *= factor,
+                    3 => cols.q_max[row] = (cols.q_max[row] * factor).clamp(2.0 * Q_MIN, 1.0),
+                    _ => keep[row] = false,
+                }
+            }
+            let kept = |column: &[f64]| -> Vec<f64> {
+                column.iter().zip(&keep).filter(|(_, &k)| k).map(|(&x, _)| x).collect()
+            };
+            let edited = PopulationColumns {
+                a2g2: kept(&cols.a2g2),
+                cost: kept(&cols.cost),
+                value: kept(&cols.value),
+                q_max: kept(&cols.q_max),
+            };
+            let edited_keys: Vec<u32> =
+                keys.iter().zip(&keep).filter(|(_, &k)| k).map(|(&key, _)| key).collect();
+            // A σ drift of 2–16× either way reorders the thresholds of
+            // some clean segment in nearly every case, so both the reuse
+            // and the repair path run.
+            let scale = if shrink { 1.0 / drift } else { drift };
+            let unit = IndexColumns::from_population(&edited);
+            let cold = ActiveSetIndex::build_keyed(
+                &unit, &edited_keys, SEGMENTS, aor(), Q_MIN, scale, 1,
+            );
+            for threads in [1, 3] {
+                let (patched, stats) = index.patch(&unit, &edited_keys, &dirty, scale, threads);
+                let rebuilt = dirty.iter().filter(|&&d| d).count();
+                proptest::prop_assert_eq!(stats.rebuilt, rebuilt);
+                proptest::prop_assert_eq!(stats.repaired + stats.reused, SEGMENTS - rebuilt);
+                proptest::prop_assert!(patched == cold, "threads {}", threads);
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,6 @@ use crate::protocol::WireReply;
 use crate::recorder::WireRecorder;
 use fedfl_obs::{Metric, Recorder as _, Registry, Stopwatch};
 use fedfl_service::{ClientId, Command, PriceQuote, PricingService, Response, ServiceSnapshot};
-use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -38,22 +37,21 @@ impl Default for ServerOptions {
     }
 }
 
-/// The last certified equilibrium, indexed for concurrent reads.
+/// The last certified equilibrium, shared for concurrent reads.
 struct Published {
     snapshot: ServiceSnapshot,
-    /// Client id → position in the snapshot's insertion-ordered columns.
-    index: HashMap<u64, usize>,
 }
 
 impl Published {
+    /// Publish `snapshot` as is. Its ids are in the store's order, which
+    /// is ascending (ids are issued ascending and never reused), so
+    /// quotes resolve positions by binary search — no per-publish map.
     fn new(snapshot: ServiceSnapshot) -> Self {
-        let index = snapshot
-            .ids
-            .iter()
-            .enumerate()
-            .map(|(pos, id)| (id.0, pos))
-            .collect();
-        Self { snapshot, index }
+        debug_assert!(
+            snapshot.ids.windows(2).all(|pair| pair[0].0 < pair[1].0),
+            "snapshot ids must strictly ascend"
+        );
+        Self { snapshot }
     }
 
     /// Batched quotes with the in-process atomicity contract: every id
@@ -63,10 +61,10 @@ impl Published {
         let positions: Vec<usize> = ids
             .iter()
             .map(|id| {
-                self.index
-                    .get(&id.0)
-                    .copied()
-                    .ok_or(WireError::UnknownClient(id.0))
+                self.snapshot
+                    .ids
+                    .binary_search_by_key(&id.0, |known| known.0)
+                    .map_err(|_| WireError::UnknownClient(id.0))
             })
             .collect::<Result<_, _>>()?;
         Ok(ids

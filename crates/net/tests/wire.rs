@@ -208,6 +208,49 @@ fn commands_round_trip_over_loopback_bit_identically() {
 }
 
 #[test]
+fn quote_batches_resolve_ids_like_the_in_process_service() {
+    let (service, _) = seeded_service(6);
+    let (mut mirror, ids) = seeded_service(6);
+    let mut handle = start_server(service, ServerOptions::default(), None);
+    let mut conn = PricingClient::connect(handle.addr()).unwrap();
+    let removed = ids[2];
+    for side in [
+        conn.call(&Command::RemoveClients(vec![removed])).unwrap(),
+        mirror
+            .execute(Command::RemoveClients(vec![removed]))
+            .unwrap(),
+    ] {
+        assert_eq!(side, Response::Removed(1));
+    }
+    let never_issued = ClientId(ids[5].0 + 1_000);
+
+    // The first unknown id in request order rejects the whole batch,
+    // whether it was removed or never issued.
+    for (batch, first_unknown) in [
+        (vec![ids[0], ids[5], removed, never_issued], removed),
+        (vec![ids[5], never_issued, removed, ids[0]], never_issued),
+    ] {
+        let err = conn.call(&Command::GetPrices(batch.clone())).unwrap_err();
+        assert!(
+            matches!(err, ClientError::Server(WireError::UnknownClient(id)) if id == first_unknown.0),
+            "{batch:?}: {err:?}"
+        );
+        assert_eq!(
+            mirror.execute(Command::GetPrices(batch)).unwrap_err(),
+            ServiceError::UnknownClient(first_unknown)
+        );
+    }
+
+    // Live ids — first, last, repeated, out of order — quote exactly as
+    // in process.
+    let live = vec![ids[5], ids[0], ids[3], ids[0], ids[1], ids[4]];
+    let served = conn.call(&Command::GetPrices(live.clone())).unwrap();
+    let local = mirror.execute(Command::GetPrices(live)).unwrap();
+    assert_eq!(served, local);
+    handle.shutdown();
+}
+
+#[test]
 fn malformed_input_yields_typed_error_frames_and_the_connection_survives() {
     let (service, ids) = seeded_service(3);
     let mut handle = start_server(service, ServerOptions::default(), None);

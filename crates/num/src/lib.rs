@@ -20,10 +20,9 @@
 //!   the per-client passes of the Stage-I solvers run on a worker pool with
 //!   a fixed summation tree, so results are bit-identical regardless of
 //!   thread count.
-//! * [`prefix`] — stable argsort, exclusive prefix sums and a stable
-//!   k-way merge of sorted runs: the ordering analogue of [`parallel`]'s
-//!   shard-mergeable partial sums, backing the threshold-indexed
-//!   active-set fast path.
+//! * [`prefix`] — the stable radix argsort under `total_cmp` that fixes
+//!   the threshold order of the active-set fast path: the ordering
+//!   analogue of [`parallel`]'s fixed summation tree.
 //! * [`linalg`] — dense vector/matrix operations backing the multinomial
 //!   logistic-regression substrate.
 //! * [`stats`] — descriptive statistics (mean, variance, quantiles, Pearson

@@ -2,6 +2,7 @@
 
 use fedfl_num::dist::{BoundedPareto, Exponential, Normal};
 use fedfl_num::linalg::{axpy, dot, norm2, norm2_squared, Matrix};
+use fedfl_num::prefix::sort_permutation;
 use fedfl_num::rng::{seeded, split};
 use fedfl_num::roots::{best_response_cubic, bisect, cubic_real_roots};
 use fedfl_num::search::{golden_section_min, grid_search_min};
@@ -11,6 +12,46 @@ use proptest::prelude::*;
 
 fn nonzero_coeff() -> impl Strategy<Value = f64> {
     prop_oneof![-100.0f64..-1e-3, 1e-3f64..100.0]
+}
+
+/// Keys where `total_cmp` order is easy to get wrong: both zeros, both
+/// infinities, NaNs of both signs with distinct payloads, subnormals and
+/// the extremes of the finite range.
+const KEY_POOL: [f64; 16] = [
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    -f64::NAN,
+    f64::from_bits(0x7ff0_0000_0000_0001),
+    f64::from_bits(0xfff0_0000_0000_00ff),
+    f64::from_bits(1),
+    f64::from_bits(0x8000_0000_0000_0001),
+    f64::from_bits(0x000f_ffff_ffff_ffff),
+    f64::MIN_POSITIVE,
+    1.0,
+    -1.0,
+    f64::MAX,
+    f64::MIN,
+];
+
+/// A pooled key (so long inputs repeat each one many times) or an
+/// arbitrary bit pattern.
+fn radix_key() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (0..KEY_POOL.len()).prop_map(|i| KEY_POOL[i]),
+        (0..KEY_POOL.len()).prop_map(|i| KEY_POOL[i]),
+        any::<u64>().prop_map(f64::from_bits),
+    ]
+}
+
+/// The comparator argsort `sort_permutation` must reproduce: stable, so
+/// ties keep their input order.
+fn reference_argsort(keys: &[f64]) -> Vec<u32> {
+    let mut perm: Vec<u32> = (0..keys.len() as u32).collect();
+    perm.sort_by(|&a, &b| keys[a as usize].total_cmp(&keys[b as usize]));
+    perm
 }
 
 proptest! {
@@ -189,5 +230,18 @@ proptest! {
     fn norm_squared_consistency(xs in prop::collection::vec(-100.0f64..100.0, 1..32)) {
         let n2 = norm2(&xs);
         prop_assert!((n2 * n2 - norm2_squared(&xs)).abs() <= 1e-6 * norm2_squared(&xs).max(1.0));
+    }
+
+    #[test]
+    fn radix_argsort_matches_the_stable_comparator_sort(
+        keys in prop::collection::vec(radix_key(), 0..2000),
+        fill in 0..KEY_POOL.len(),
+        fill_len in 0usize..2000,
+    ) {
+        prop_assert_eq!(sort_permutation(&keys), reference_argsort(&keys));
+        // All keys equal: every radix pass is skipped, leaving the
+        // identity permutation.
+        let flat = vec![KEY_POOL[fill]; fill_len];
+        prop_assert_eq!(sort_permutation(&flat), reference_argsort(&flat));
     }
 }

@@ -125,8 +125,9 @@ pub enum Command {
     UpdateAvailability(AvailabilityModel),
     /// Replace the deployment budget `B`. No store shard is dirtied — the
     /// columns are budget-independent — but the equilibrium re-solves
-    /// (warm-started through `estimate_path_parameter` at the new budget)
-    /// at the next read or `Reprice`.
+    /// (warm-started from the previous path parameter, refined through
+    /// `estimate_path_parameter` at the new budget on the exact path) at
+    /// the next read or `Reprice`.
     UpdateBudget(f64),
     /// Replace the Theorem 1 bound constants `(α, β, R)`. Like
     /// `UpdateBudget`, this dirties no shard; the warm-start hint is
@@ -272,9 +273,10 @@ struct PricedState {
 /// A churn delta rescales every normalised weight by `W_old / W_new`,
 /// shifting the KKT path roughly like `t ↦ t · (W_new / W_old)²`; a bound
 /// update scales it like `t ↦ t · (α/R)_old / (α/R)_new` (the path levels
-/// depend on the product `(α/R)·t`). The rescaled value is refined by the
-/// closed-form spend model and handed to the bisection as a *hint* — the
-/// bisection verifies the bracket before trusting it.
+/// depend on the product `(α/R)·t`). On the exact path the rescaled value
+/// is refined by the closed-form spend model; the fast path uses it as is.
+/// Either way it is handed to the bisection as a *hint* — the bisection
+/// verifies the bracket before trusting it.
 #[derive(Debug, Clone, Copy)]
 struct WarmHint {
     t_star: f64,
@@ -588,12 +590,18 @@ impl PricingService {
 
         // Warm-start hint: rescale the previous path parameter for the
         // weight renormalisation (and any bound update) since the last
-        // solve, then refine it with the closed-form spend model on the
-        // new columns. Both are heuristics; the bisection verifies the
-        // implied bracket before trusting it.
+        // solve. The exact path then refines it with the closed-form
+        // spend model, whose few O(N) passes each save an O(N) probe.
+        // The fast path does not: its probes cost O(log N), so the same
+        // passes would cost more than the probes they save. Either hint
+        // is a heuristic; the bisection verifies the implied bracket
+        // before trusting it, and lands on the same root bits.
         let hint = self.warm_hint.map(|warm| {
             let ratio = assembled.total_raw_weight / warm.total_weight;
             let t_scaled = warm.t_star * ratio * ratio * (warm.aor / aor);
+            if self.config.fast_path {
+                return t_scaled;
+            }
             estimate_path_parameter(
                 &assembled.population,
                 &self.config.bound,
@@ -622,10 +630,9 @@ impl PricingService {
             // proves the assembled population and the index parameters
             // are unchanged (budget/bound-β-only churn). When only some
             // store shards churned under unchanged solver knobs,
-            // incrementally patch it — O(dirty · (N/S) · log(N/S)) sort
-            // work, bit-identical to a cold keyed build. Otherwise
-            // rebuild it once — O(N log N) — and cache it under the new
-            // stamps.
+            // incrementally patch it — O(dirty · N/S) work, bit-identical
+            // to a cold keyed build. Otherwise rebuild it once — O(N) —
+            // and cache it under the new stamps.
             let store_version = self.store.version();
             let q_min_bits = self.config.solver.q_min.to_bits();
             let params_match = |cached: &FastIndexState| {
